@@ -42,7 +42,7 @@ from repro.experiments import microbench
 from repro.experiments.handoff import PAPER_SAVING, run_comparison
 from repro.experiments.microbench import BenchProfile
 from repro.experiments.params import MicrobenchParams
-from repro.experiments.report import render_breakdown, render_spans, render_table
+from repro.experiments.report import render_breakdown, render_table
 from repro.experiments.runner import run_download
 from repro.experiments.tracedriven import run_all as run_traces
 from repro.experiments.xia_benchmark import run_all as run_fig5
@@ -65,7 +65,7 @@ def _policy_arg(name):
 
 def _demo_pair(
     file_mb, seed, policy,
-    trace=None, spans=False, gauges=False, audit=False,
+    trace=None, gauges=False, audit=False,
     hub=None, wide=None, sketches=False,
 ):
     """Run the demo's Xftp + SoftStage pair with shared telemetry sinks.
@@ -81,13 +81,13 @@ def _demo_pair(
     try:
         xftp = run_download(
             "xftp", params=params, seed=seed,
-            trace_path=trace_fh, spans=spans,
+            trace_path=trace_fh,
             gauges=gauges, audit=audit, hub=hub, wide=wide,
             sketches=sketches,
         )
         softstage = run_download(
             "softstage", params=params, seed=seed,
-            trace_path=trace_fh, spans=spans,
+            trace_path=trace_fh,
             gauges=gauges, audit=audit, hub=hub, wide=wide,
             policy=policy, sketches=sketches,
         )
@@ -142,7 +142,7 @@ def cmd_demo(args) -> None:
                 try:
                     outcome["runs"] = _demo_pair(
                         args.file_mb, args.seed, policy,
-                        trace=args.trace, spans=args.spans,
+                        trace=args.trace,
                         gauges=gauges, audit=args.audit,
                         hub=hub, wide=wide_writer,
                         sketches=args.gauges,
@@ -165,7 +165,7 @@ def cmd_demo(args) -> None:
         else:
             xftp, softstage = _demo_pair(
                 args.file_mb, args.seed, policy,
-                trace=args.trace, spans=args.spans,
+                trace=args.trace,
                 gauges=gauges, audit=args.audit,
                 wide=wide_writer, sketches=args.gauges,
             )
@@ -189,12 +189,6 @@ def cmd_demo(args) -> None:
     if args.audit:
         for result in (xftp, softstage):
             print(f"[{result.run_id}] {result.auditor.render()}")
-    if args.spans:
-        for result in (xftp, softstage):
-            print()
-            print(render_spans(
-                result.spans, title=f"Spans [{result.run_id}]"
-            ))
     if args.trace:
         print(f"\ntrace written to {args.trace} "
               f"(runs: {xftp.run_id}, {softstage.run_id})")
@@ -337,7 +331,7 @@ def _select_runs(runs, run_id):
 
 
 def cmd_trace_summary(args) -> None:
-    from repro.obs.analyze import latency_breakdown, summarize_breakdown
+    from repro.obs.analyze import render_summary, summarize_breakdown
 
     runs = _load_runs(args.file)
     for run in _select_runs(runs, args.run):
@@ -347,47 +341,50 @@ def cmd_trace_summary(args) -> None:
               f"[{run.first_time:.3f}s, {run.last_time:.3f}s]")
         print(f"  top events: {counts}")
         print()
-        print(render_spans(run.spans, title=f"Spans [{run.run_id}]"))
-        breakdown = latency_breakdown(run.spans)
-        if breakdown:
+        print(render_summary(run.records, title=f"Spans [{run.run_id}]"))
+        breakdown = summarize_breakdown(run.records)
+        if breakdown.chunks:
             print()
             print(render_breakdown(
-                summarize_breakdown(breakdown),
-                title=f"Latency breakdown [{run.run_id}]",
+                breakdown, title=f"Latency breakdown [{run.run_id}]",
             ))
         print()
 
 
 def cmd_trace_spans(args) -> None:
+    from repro.obs.analyze import interval, intervals, label, parents, phases, status
+
     runs = _load_runs(args.file)
     for run in _select_runs(runs, args.run):
-        spans = run.spans
+        records = intervals(run.records)
         if args.kind:
-            spans = [s for s in spans if s.kind == args.kind]
+            records = [r for r in records if r["kind"] == args.kind]
+        parent_of = parents(run.records)
         rows = []
-        for span in spans[: args.limit]:
+        for record in records[: args.limit]:
+            start, end = interval(record)
             rows.append((
-                span.span_id,
-                span.kind,
-                span.key,
-                f"{span.start:.3f}",
-                f"{span.end:.3f}" if span.end is not None else "-",
-                f"{span.duration:.3f}" if span.duration is not None else "-",
-                span.status,
-                span.parent_id if span.parent_id is not None else "-",
-                ",".join(name for name, _ in span.phases),
+                record["seq"],
+                record["kind"],
+                label(record),
+                f"{start:.3f}",
+                f"{end:.3f}",
+                f"{end - start:.3f}",
+                status(record),
+                parent_of.get(record["seq"], "-"),
+                ",".join(name for name, _ in phases(record)),
             ))
         print(render_table(
-            f"Spans [{run.run_id}] ({len(spans)} total, "
-            f"showing {min(len(spans), args.limit)})",
-            ("id", "kind", "key", "start", "end", "dur (s)",
+            f"Spans [{run.run_id}] ({len(records)} total, "
+            f"showing {min(len(records), args.limit)})",
+            ("seq", "kind", "key", "start", "end", "dur (s)",
              "status", "parent", "phases"),
             rows,
         ))
         if args.critical:
             from repro.obs.analyze import critical_path
 
-            segments = critical_path(run.spans)
+            segments = critical_path(run.records)
             print()
             print(render_table(
                 f"Critical path [{run.run_id}]",
@@ -414,7 +411,8 @@ def cmd_trace_chrome(args) -> None:
 
 
 def cmd_trace_diff(args) -> None:
-    from repro.obs.analyze import diff_spans, pick_run
+    from repro.obs.analyze import pick_run
+    from repro.obs.explain import explain, render_why
 
     runs_a = _load_runs(args.file_a)
     if args.file_b:
@@ -431,21 +429,7 @@ def cmd_trace_diff(args) -> None:
             )
         run_a = pick_run(runs_a, args.run_a or ids[0])
         run_b = pick_run(runs_a, args.run_b or ids[1 if len(ids) > 1 else 0])
-    deltas = diff_spans(run_a.spans, run_b.spans)
-    rows = []
-    for d in deltas:
-        ratio = f"{d.ratio:.2f}x" if d.ratio is not None else "-"
-        rows.append((
-            d.kind, d.count_a, d.count_b,
-            f"{d.mean_a:.4f}", f"{d.mean_b:.4f}",
-            f"{d.delta:+.4f}", ratio,
-        ))
-    print(render_table(
-        f"Span diff: A={run_a.run_id}  B={run_b.run_id}",
-        ("kind", "count A", "count B", "mean A (s)", "mean B (s)",
-         "Δ mean (s)", "B/A"),
-        rows,
-    ))
+    print(render_why(explain(run_a.records, run_b.records)))
 
 
 def cmd_trace_wide(args) -> None:
@@ -530,15 +514,20 @@ def cmd_serve(args) -> None:
         print(f"live demo started ({args.file_mb:g} MB, seed {args.seed}) "
               f"— stream it from {server.url}/live "
               f"({len(DEFAULT_SLOS)} live SLOs attached)")
+    # The accept loop runs off the main thread, so the KeyboardInterrupt
+    # a signal raises lands in this idle join and never inside
+    # socketserver's dispatch, whose error path closes the connection
+    # being dispatched (a /live stream would lose its end frame).
     try:
-        server.serve_forever()
+        server.serve_background().join()
     except KeyboardInterrupt:
         pass
     finally:
-        # Close the hub first so every /live subscriber gets the SSE
-        # terminal frame before the listening socket goes away, and
-        # wait for them to detach — handler threads are daemons, so
-        # exiting now would kill them mid-frame.
+        server.shutdown()
+        # Close the hub so every /live subscriber gets the SSE terminal
+        # frame before the listening socket goes away, and wait for
+        # them to detach — handler threads are daemons, so exiting now
+        # would kill them mid-frame.
         if hub is not None:
             hub.close()
             hub.wait_closed(timeout=3.0)
@@ -843,8 +832,6 @@ def main(argv=None) -> int:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--trace", metavar="PATH",
                       help="record both runs into one JSONL trace")
-    demo.add_argument("--spans", action="store_true",
-                      help="derive and print causal span summaries")
     demo.add_argument("--gauges", action="store_true",
                       help="install the flight recorder and append both "
                            "runs (with gauge timelines) to the run registry")
@@ -904,12 +891,14 @@ def main(argv=None) -> int:
     trace = sub.add_parser("trace", help="JSONL trace analysis")
     tsub = trace.add_subparsers(dest="trace_command", required=True)
 
-    tsummary = tsub.add_parser("summary", help="events + span statistics")
+    tsummary = tsub.add_parser("summary", help="events + lifecycle statistics")
     tsummary.add_argument("file")
     tsummary.add_argument("--run", help="restrict to one run id")
     tsummary.set_defaults(fn=cmd_trace_summary)
 
-    tspans = tsub.add_parser("spans", help="list derived spans")
+    tspans = tsub.add_parser(
+        "spans", help="list lifecycle records (wide events)"
+    )
     tspans.add_argument("file")
     tspans.add_argument("--run", help="restrict to one run id")
     tspans.add_argument("--kind", choices=("chunk", "encounter", "gap", "handoff"))
@@ -926,7 +915,9 @@ def main(argv=None) -> int:
     tchrome.add_argument("--run", help="restrict to one run id")
     tchrome.set_defaults(fn=cmd_trace_chrome)
 
-    tdiff = tsub.add_parser("diff", help="per-span-kind latency deltas")
+    tdiff = tsub.add_parser(
+        "diff", help="attribute run B's time delta to pipeline phases"
+    )
     tdiff.add_argument("file_a")
     tdiff.add_argument("file_b", nargs="?",
                        help="second trace (omit to diff runs inside file_a)")

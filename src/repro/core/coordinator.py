@@ -66,13 +66,6 @@ class StagingCoordinator:
         self.sensor = sensor
         self.config = config or SoftStageConfig()
         self.policy = policy or ReactiveEq1Policy(self.config)
-        #: Reference Eq. 1 arithmetic, kept available whatever policy
-        #: runs (the legacy query methods below delegate to it).
-        self._eq1 = (
-            self.policy
-            if isinstance(self.policy, ReactiveEq1Policy)
-            else ReactiveEq1Policy(self.config)
-        )
         self.ticks = 0
         self.decisions = 0
         self._running = False
@@ -179,23 +172,6 @@ class StagingCoordinator:
     def _observed_encounter(self) -> Optional[float]:
         estimator = getattr(self.sensor, "encounter_duration", None)
         return estimator.value if estimator is not None else None
-
-    # -- legacy staging-algorithm queries --------------------------------------
-    # The Eq. 1 arithmetic, exposed where callers and tests historically
-    # found it.  Always the *reference* reactive math (same config), even
-    # when a different policy is driving decisions.
-
-    def eq1_threshold(self) -> float:
-        """The paper's Eq. 1 right-hand side from current estimates."""
-        return self._eq1.eq1_threshold(self.observe())
-
-    def gap_allowance(self) -> int:
-        """Extra chunks signalled so staging survives a coverage gap."""
-        return self._eq1.gap_allowance(self.observe())
-
-    def target_signalled(self) -> int:
-        """How many unfetched chunks should be READY or PENDING."""
-        return self._eq1.target_signalled(self.observe())
 
     def prestage_count(self) -> int:
         """How many chunks the *active* policy pre-stages on handoff."""

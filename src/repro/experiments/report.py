@@ -68,18 +68,6 @@ def render_metrics(
     return render_table(title, ("metric", "value"), rows)
 
 
-def render_spans(spans, title: str = "Span summary") -> str:
-    """Render a span list as the canonical per-kind summary table.
-
-    Thin wrapper over :func:`repro.obs.spans.render_summary` so
-    experiment reports and the CLI share one canonical format (the
-    one the live/offline parity tests compare byte-for-byte).
-    """
-    from repro.obs.spans import render_summary
-
-    return render_summary(spans, title=title)
-
-
 def render_breakdown(summary, title: str = "Latency breakdown") -> str:
     """Render a :class:`repro.obs.analyze.BreakdownSummary`."""
     rows = [

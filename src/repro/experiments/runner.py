@@ -29,7 +29,6 @@ from repro.obs.flight import (
     install_flight_recorder,
 )
 from repro.obs.sketch import SketchRecorder
-from repro.obs.spans import Span, SpanBuilder
 from repro.obs.stream import GaugeFeed, TelemetryHub
 from repro.obs.trace import TraceExporter
 from repro.obs.wide import WideEventBuilder, WideEventWriter
@@ -54,8 +53,6 @@ class ExperimentResult:
     metrics: Optional[MetricsCollector] = field(default=None, repr=False)
     #: JSONL trace location (only when ``trace_path`` was a path).
     trace_path: Optional[str] = None
-    #: Causal spans derived live during the run (``spans=True``).
-    spans: Optional[list[Span]] = field(default=None, repr=False)
     #: The kernel profiler, still queryable (``profile=True``).
     profile: Optional[SimProfiler] = field(default=None, repr=False)
     #: The flight-recorder sampler (``gauges=True``).
@@ -96,7 +93,6 @@ def run_download(
     segment_scale: int = 1,
     instrument: bool = False,
     trace_path: Optional[Union[str, IO[str]]] = None,
-    spans: bool = False,
     profile: bool = False,
     gauges: bool = False,
     audit: bool = False,
@@ -126,10 +122,8 @@ def run_download(
     run's event bus and returns it on the result; ``trace_path``
     additionally writes every event as JSONL (and implies
     ``instrument=True``) — pass an open file object instead of a path
-    to append several runs into one multi-run trace.  ``spans=True``
-    attaches a live :class:`~repro.obs.spans.SpanBuilder` and returns
-    its finished spans; ``profile=True`` installs a
-    :class:`~repro.sim.profiler.SimProfiler` on the kernel.
+    to append several runs into one multi-run trace.  ``profile=True``
+    installs a :class:`~repro.sim.profiler.SimProfiler` on the kernel.
 
     ``gauges=True`` installs the flight recorder (standard testbed
     gauge set, sampled every ``gauge_period`` sim-seconds; implies
@@ -198,7 +192,6 @@ def run_download(
     scenario.sim.probe.run_id = run_id
     collector: Optional[MetricsCollector] = None
     exporter: Optional[TraceExporter] = None
-    builder: Optional[SpanBuilder] = None
     profiler: Optional[SimProfiler] = None
     sampler: Optional[GaugeSampler] = None
     auditor: Optional[InvariantAuditor] = None
@@ -212,8 +205,6 @@ def run_download(
         collector = MetricsCollector(scenario.sim).attach(scenario.sim.probe.bus)
         if trace_path is not None:
             exporter = TraceExporter(trace_path).attach(scenario.sim.probe.bus)
-    if spans:
-        builder = SpanBuilder(run_id=run_id).attach(scenario.sim.probe.bus)
     if profile:
         profiler = SimProfiler(scenario.sim).install()
     if audit:
@@ -314,7 +305,6 @@ def run_download(
         policy=pname,
         metrics=collector,
         trace_path=exporter.path if exporter is not None else None,
-        spans=builder.finish() if builder is not None else None,
         profile=profiler,
         sampler=sampler,
         auditor=auditor,

@@ -16,9 +16,10 @@ Consumers subscribe by event type:
   into the event stream and audits it against conservation invariants;
 - the run registry (:mod:`repro.obs.registry`) persists per-run
   summaries and gauge timelines for cross-run diffing;
-- the wide-event layer (:mod:`repro.obs.wide`) folds events, spans
-  and gauges into one context-complete record per chunk lifecycle,
-  identically live and offline;
+- the wide-event layer (:mod:`repro.obs.wide`) folds events and
+  gauges into one context-complete record per chunk lifecycle,
+  identically live and offline; the trace analyzer
+  (:mod:`repro.obs.analyze`) renders every offline view from them;
 - the telemetry hub (:mod:`repro.obs.stream`) fans gauge samples and
   wide events out to bounded, never-blocking subscriber queues;
 - the HTTP service (:mod:`repro.obs.server`) exposes the registry,
@@ -43,7 +44,6 @@ from repro.obs.flight import (
     install_flight_recorder,
 )
 from repro.obs.registry import RunRecord, RunRegistry, diff_records
-from repro.obs.spans import Span, SpanBuilder, build_spans, render_summary, summarize_spans
 from repro.obs.stream import GaugeFeed, TelemetryHub, TelemetrySubscription
 from repro.obs.wide import (
     WIDE_SCHEMA_VERSION,
@@ -67,8 +67,6 @@ __all__ = [
     "Probe",
     "RunRecord",
     "RunRegistry",
-    "Span",
-    "SpanBuilder",
     "Stamped",
     "TelemetryHub",
     "TelemetrySubscription",
@@ -77,15 +75,12 @@ __all__ = [
     "WideEventBuilder",
     "WideEventStream",
     "WideEventWriter",
-    "build_spans",
     "derive_wide",
     "diff_records",
     "events",
     "install_flight_recorder",
     "read_trace",
     "read_wide",
-    "render_summary",
     "replay_trace",
-    "summarize_spans",
     "wide_json",
 ]

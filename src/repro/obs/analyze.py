@@ -1,24 +1,25 @@
-"""Trace analysis: latency breakdowns, critical paths, export, diff.
+"""Trace analysis: views over a run's wide-event records.
 
 Everything here is *offline*: it consumes a JSONL trace (possibly
-holding several runs, told apart by their ``run`` ids) or pre-built
-span lists, and produces plain data objects the CLI renders.  The
-heavy lifting — folding events into spans — lives in
-:mod:`repro.obs.spans`; this module answers the questions the paper's
-evaluation asks of those spans:
+holding several runs, told apart by their ``run`` ids), folds each
+run into wide-event records with :func:`repro.obs.wide.derive_wide` —
+the one lifecycle fold, byte-identical to a live ``--emit-wide`` file
+— and renders plain views of those records:
 
-- *stage wait*: how long a chunk sat between being signalled and the
-  VNF finishing its prefetch (Eq. 1's just-in-time window);
-- *edge vs origin fetch time*: the delegation fast path against the
-  origin fallback;
-- *time masked by disconnection*: how much of the staging interval
-  overlapped coverage gaps — staging work the vehicle never waited
-  for, the paper's core claim;
-- *critical path*: which chunk (and which of its phases) the download
-  was blocked on, interval by interval;
-- run-vs-run *diffs* (softstage vs xftp, seed A vs seed B);
+- the per-kind *summary*: count and duration of chunk lifecycles,
+  encounters, coverage gaps and handoffs;
+- the *latency breakdown*: stage wait, edge vs origin fetch time, and
+  the coverage-gap time masked by staging (the run record's
+  ``masked_total_s``) — staging work the vehicle never waited for, the
+  paper's core claim;
+- the *critical path*: which chunk (and which of its phases) the
+  download was blocked on, interval by interval;
+- encounter *parents*: the encounter each chunk was delivered in;
 - Chrome ``trace_event`` JSON so any trace opens in Perfetto or
   chrome://tracing.
+
+Comparing two runs is the ``runs why`` engine
+(:func:`repro.obs.explain.explain`) applied to their records.
 """
 
 from __future__ import annotations
@@ -27,8 +28,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Union
 
-from repro.obs.spans import CHUNK, ENCOUNTER, GAP, HANDOFF, Span, build_spans
 from repro.obs.trace import read_trace
+from repro.obs.wide import derive_wide
+
+#: Record kinds that describe an interval, in summary order (also the
+#: Chrome-trace lanes, tid 1..4).
+KINDS = ("chunk", "encounter", "gap", "handoff")
+
+#: Chunk phase marks, in the order that breaks ties between equal times.
+PHASES = ("signalled", "stage_request", "cached", "staged", "ready", "fetched")
 
 
 # -- loading -----------------------------------------------------------------
@@ -36,11 +44,13 @@ from repro.obs.trace import read_trace
 
 @dataclass
 class TraceRun:
-    """One run's slice of a trace: its events' types and derived spans."""
+    """One run's slice of a trace: its events' types and wide records."""
 
     run_id: str
     event_counts: Counter
-    spans: list[Span]
+    #: The run's wide-event records, in emission order; the last one
+    #: is the run-summary record.
+    records: list[dict]
     first_time: float
     last_time: float
 
@@ -65,7 +75,7 @@ def load_runs(
         runs[run_id] = TraceRun(
             run_id=run_id,
             event_counts=Counter(type(s.event).__name__ for s in stampeds),
-            spans=build_spans(stampeds, run_id=run_id),
+            records=derive_wide(stampeds, run_id=run_id),
             first_time=stampeds[0].time,
             last_time=stampeds[-1].time,
         )
@@ -86,68 +96,137 @@ def pick_run(runs: dict[str, TraceRun], run_id: Optional[str] = None) -> TraceRu
         ) from None
 
 
+# -- one record as an interval ----------------------------------------------
+
+
+def intervals(records: Iterable[dict]) -> list[dict]:
+    """The records that describe an interval (every kind but ``run``)."""
+    return [r for r in records if r.get("kind") in KINDS]
+
+
+def interval(record: dict) -> tuple[float, float]:
+    """``(start, end)`` of an interval record.
+
+    A chunk's lifecycle starts when it was signalled, or at fetch
+    start if it never was, and ends at delivery.
+    """
+    if record["kind"] == "chunk":
+        start = record["t_signalled"]
+        if start is None:
+            start = record["t_fetch_start"]
+        return start, record["t_fetched"]
+    return record["t_start"], record["t_end"]
+
+
+def status(record: dict) -> str:
+    """How the interval ended: a chunk's source, a handoff's outcome."""
+    kind = record["kind"]
+    if kind == "chunk":
+        return record["source"]
+    if kind == "encounter":
+        return "ended"
+    if kind == "gap":
+        return "offline"
+    return record["status"]
+
+
+def label(record: dict) -> str:
+    """The record's display key: chunk id, handoff target, or key."""
+    kind = record["kind"]
+    if kind == "chunk":
+        return record["cid"]
+    if kind == "handoff":
+        return record["target"]
+    return record["key"]
+
+
+def phases(record: dict) -> list[tuple[str, float]]:
+    """A chunk's ``(phase, time)`` marks in time order (ties: :data:`PHASES`)."""
+    marks = [
+        (record[f"t_{name}"], rank, name)
+        for rank, name in enumerate(PHASES)
+        if record.get(f"t_{name}") is not None
+    ]
+    return [(name, time) for time, _, name in sorted(marks)]
+
+
+def parents(records: Iterable[dict]) -> dict[int, int]:
+    """Chunk ``seq`` → ``seq`` of the encounter it was delivered in.
+
+    The parent is the first ended encounter whose window contains the
+    chunk's delivery time; chunks delivered in the final (never-ended)
+    encounter have none.
+    """
+    records = list(records)
+    encounters = [r for r in records if r.get("kind") == "encounter"]
+    out: dict[int, int] = {}
+    for record in records:
+        if record.get("kind") != "chunk":
+            continue
+        for enc in encounters:
+            if enc["t_start"] <= record["t_fetched"] <= enc["t_end"]:
+                out[record["seq"]] = enc["seq"]
+                break
+    return out
+
+
+# -- per-kind summary --------------------------------------------------------
+
+
+def render_summary(records: Iterable[dict], title: str = "Span summary") -> str:
+    """A fixed-format per-kind count/duration table for one run.
+
+    Chunks still in flight when the run ended have no record; they
+    come from the run record's ``chunks_open`` and count as open
+    (``staging``) lifecycles.  Byte-deterministic for a given record
+    list: the live/replay parity tests compare these strings.
+    """
+    durations: dict[str, list[float]] = {}
+    statuses: dict[str, Counter] = {}
+    open_chunks = 0
+    for record in records:
+        kind = record.get("kind")
+        if kind == "run":
+            open_chunks = record["chunks_open"]
+        elif kind in KINDS:
+            start, end = interval(record)
+            durations.setdefault(kind, []).append(end - start)
+            statuses.setdefault(kind, Counter())[status(record)] += 1
+    if open_chunks:
+        durations.setdefault("chunk", [])
+        statuses.setdefault("chunk", Counter())["staging"] += open_chunks
+    lines = [title]
+    header = (
+        f"{'kind':>10} | {'count':>6} | {'closed':>6} | {'total (s)':>10} | "
+        f"{'mean (s)':>10} | {'min (s)':>10} | {'max (s)':>10}"
+    )
+    rule = "-" * len(header)
+    lines += [rule, header, rule]
+    for kind in sorted(durations):
+        closed = durations[kind]
+        count = len(closed) + (open_chunks if kind == "chunk" else 0)
+        total = sum(closed)
+        mean = total / len(closed) if closed else 0.0
+        lines.append(
+            f"{kind:>10} | {count:>6} | {len(closed):>6} | {total:>10.4f} | "
+            f"{mean:>10.4f} | {min(closed, default=0.0):>10.4f} | "
+            f"{max(closed, default=0.0):>10.4f}"
+        )
+    lines.append(rule)
+    for kind in sorted(statuses):
+        breakdown = ", ".join(
+            f"{name}={n}" for name, n in sorted(statuses[kind].items())
+        )
+        lines.append(f"{kind:>10}: {breakdown}")
+    return "\n".join(lines)
+
+
 # -- latency breakdown -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ChunkBreakdown:
-    """Where one delivered chunk's wall time went."""
-
-    cid: str
-    source: str  # "edge" | "origin" | "fallback"
-    #: signalled → VNF prefetch done (None when never signalled/staged).
-    stage_wait: Optional[float]
-    #: VNF prefetch done → client fetch started.
-    ready_wait: Optional[float]
-    #: client fetch start → fetch complete.
-    fetch_time: float
-    #: part of the staging interval overlapping coverage gaps.
-    masked: float
-    total: float
-
-
-def _overlap(start: float, end: float, intervals: list[tuple[float, float]]) -> float:
-    return sum(
-        max(0.0, min(end, hi) - max(start, lo)) for lo, hi in intervals
-    )
-
-
-def latency_breakdown(spans: Iterable[Span]) -> list[ChunkBreakdown]:
-    """Per-delivered-chunk phase decomposition, in delivery order."""
-    spans = list(spans)
-    gaps = [(s.start, s.end) for s in spans if s.kind == GAP and s.end is not None]
-    rows = []
-    for span in spans:
-        if span.kind != CHUNK or span.end is None:
-            continue
-        signalled = span.phase_time("signalled")
-        staged = span.phase_time("staged")
-        fetch_start = float(span.attrs.get("fetch_start", span.start))
-        stage_wait = staged - signalled if signalled is not None and staged is not None else None
-        ready_wait = fetch_start - staged if staged is not None else None
-        masked = (
-            _overlap(signalled, staged, gaps)
-            if signalled is not None and staged is not None
-            else 0.0
-        )
-        rows.append(
-            ChunkBreakdown(
-                cid=span.key,
-                source=span.status,
-                stage_wait=stage_wait,
-                ready_wait=ready_wait,
-                fetch_time=float(span.attrs.get("fetch_latency", 0.0)),
-                masked=masked,
-                total=span.end - span.start,
-            )
-        )
-    rows.sort(key=lambda r: r.cid)
-    return rows
-
-
-@dataclass(frozen=True)
 class BreakdownSummary:
-    """Aggregate of :func:`latency_breakdown` over one run."""
+    """Where one run's delivered chunks spent their time."""
 
     chunks: int
     edge: int
@@ -156,29 +235,38 @@ class BreakdownSummary:
     mean_stage_wait: float
     mean_edge_fetch: float
     mean_origin_fetch: float
+    #: Coverage-gap time inside the union of chunk lifecycles.
     masked_total: float
 
 
-def summarize_breakdown(rows: Iterable[ChunkBreakdown]) -> BreakdownSummary:
-    rows = list(rows)
-    edge = [r for r in rows if r.source == "edge"]
-    origin = [r for r in rows if r.source == "origin"]
-    fallback = [r for r in rows if r.source == "fallback"]
-    staged = [r.stage_wait for r in rows if r.stage_wait is not None]
-    non_edge = origin + fallback
+def summarize_breakdown(records: Iterable[dict]) -> BreakdownSummary:
+    """Aggregate the chunk records and the run record of one run."""
+    chunks = []
+    masked_total = 0.0
+    for record in records:
+        if record.get("kind") == "chunk":
+            chunks.append(record)
+        elif record.get("kind") == "run":
+            masked_total = record["masked_total_s"]
+    by_source: dict[str, list[dict]] = {"edge": [], "origin": [], "fallback": []}
+    for record in chunks:
+        by_source[record["source"]].append(record)
+    non_edge = by_source["origin"] + by_source["fallback"]
 
     def mean(xs):
         return sum(xs) / len(xs) if xs else 0.0
 
     return BreakdownSummary(
-        chunks=len(rows),
-        edge=len(edge),
-        origin=len(origin),
-        fallback=len(fallback),
-        mean_stage_wait=mean(staged),
-        mean_edge_fetch=mean([r.fetch_time for r in edge]),
-        mean_origin_fetch=mean([r.fetch_time for r in non_edge]),
-        masked_total=sum(r.masked for r in rows),
+        chunks=len(chunks),
+        edge=len(by_source["edge"]),
+        origin=len(by_source["origin"]),
+        fallback=len(by_source["fallback"]),
+        mean_stage_wait=mean([
+            r["stage_wait_s"] for r in chunks if r["stage_wait_s"] is not None
+        ]),
+        mean_edge_fetch=mean([r["fetch_latency"] for r in by_source["edge"]]),
+        mean_origin_fetch=mean([r["fetch_latency"] for r in non_edge]),
+        masked_total=masked_total,
     )
 
 
@@ -191,10 +279,10 @@ class CriticalSegment:
 
     Segments partition the time between the first chunk's start and
     the last chunk's delivery; each is attributed to the chunk whose
-    completion ended it, labelled with the phase that chunk was in
-    when the segment began (``fetch`` once its fetch had started,
-    ``stage_wait`` while it was still being staged, ``idle`` when the
-    chunk's span had not yet opened).
+    delivery ended it, labelled with the phase that chunk was in when
+    the segment began (``fetch`` once its fetch had started,
+    ``stage_wait`` while it was still being staged, ``idle`` when its
+    lifecycle had not yet begun).
     """
 
     cid: str
@@ -204,51 +292,50 @@ class CriticalSegment:
     phase: str
 
 
-def critical_path(spans: Iterable[Span]) -> list[CriticalSegment]:
-    """The per-download blocking chain, over delivered chunk spans."""
-    chunks = [s for s in spans if s.kind == CHUNK and s.end is not None]
-    chunks.sort(key=lambda s: (s.end, s.span_id))
+def critical_path(records: Iterable[dict]) -> list[CriticalSegment]:
+    """The per-download blocking chain over the delivered chunks."""
+    chunks = [r for r in records if r.get("kind") == "chunk"]
+    chunks.sort(key=lambda r: (r["t_fetched"], r["seq"]))
     segments = []
     cursor: Optional[float] = None
-    for span in chunks:
-        seg_start = span.start if cursor is None else cursor
-        if span.end <= seg_start:
-            cursor = max(cursor if cursor is not None else span.end, span.end)
+    for record in chunks:
+        start, end = interval(record)
+        seg_start = start if cursor is None else cursor
+        if end <= seg_start:
+            if cursor is None:
+                cursor = end
             continue
-        fetch_start = float(span.attrs.get("fetch_start", span.start))
-        if seg_start >= fetch_start:
+        if seg_start >= record["t_fetch_start"]:
             phase = "fetch"
-        elif seg_start >= span.start:
+        elif seg_start >= start:
             phase = "stage_wait"
         else:
             phase = "idle"
         segments.append(
             CriticalSegment(
-                cid=span.key,
+                cid=record["cid"],
                 start=seg_start,
-                end=span.end,
-                duration=span.end - seg_start,
+                end=end,
+                duration=end - seg_start,
                 phase=phase,
             )
         )
-        cursor = span.end
+        cursor = end
     return segments
 
 
 # -- Chrome trace-event export ----------------------------------------------
 
-#: Stable lane (tid) per span kind in the Chrome view.
-_KIND_TIDS = {CHUNK: 1, ENCOUNTER: 2, GAP: 3, HANDOFF: 4}
 
-
-def chrome_trace(runs: dict[str, "TraceRun"]) -> dict:
+def chrome_trace(runs: dict[str, TraceRun]) -> dict:
     """Chrome ``trace_event`` JSON for one or more runs.
 
-    Each run becomes a Chrome *process* (pid), each span kind a
-    *thread* lane (tid) in it.  Closed spans are complete events
-    (``ph="X"``); open spans become instants (``ph="i"``).  Times are
-    microseconds, as the format requires.  The result loads directly
-    in Perfetto / chrome://tracing.
+    Each run becomes a Chrome *process* (pid), each record kind a
+    *thread* lane (tid) in it, and each interval record a complete
+    event (``ph="X"``) whose args are the record's fields plus its
+    status, phase marks and encounter parent.  Times are microseconds,
+    as the format requires.  The result loads directly in Perfetto /
+    chrome://tracing.
     """
     events: list[dict] = []
     for pid, (run_id, run) in enumerate(runs.items(), start=1):
@@ -261,7 +348,7 @@ def chrome_trace(runs: dict[str, "TraceRun"]) -> dict:
                 "args": {"name": run_id},
             }
         )
-        for kind, tid in sorted(_KIND_TIDS.items(), key=lambda kv: kv[1]):
+        for tid, kind in enumerate(KINDS, start=1):
             events.append(
                 {
                     "name": "thread_name",
@@ -271,74 +358,25 @@ def chrome_trace(runs: dict[str, "TraceRun"]) -> dict:
                     "args": {"name": kind},
                 }
             )
-        for span in run.spans:
-            tid = _KIND_TIDS.get(span.kind, 9)
-            args = {k: span.attrs[k] for k in sorted(span.attrs)}
-            args["status"] = span.status
-            args["phases"] = [f"{name}@{time:.6f}" for name, time in span.phases]
-            if span.parent_id is not None:
-                args["parent"] = span.parent_id
-            base = {
-                "name": f"{span.kind}:{span.key}",
-                "cat": span.kind,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-            if span.end is not None:
-                events.append(
-                    {
-                        **base,
-                        "ph": "X",
-                        "ts": span.start * 1e6,
-                        "dur": (span.end - span.start) * 1e6,
-                    }
-                )
-            else:
-                events.append(
-                    {**base, "ph": "i", "ts": span.start * 1e6, "s": "t"}
-                )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-# -- run diffing -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KindDelta:
-    """Span statistics of one kind, side by side across two runs."""
-
-    kind: str
-    count_a: int
-    count_b: int
-    mean_a: float
-    mean_b: float
-
-    @property
-    def delta(self) -> float:
-        return self.mean_b - self.mean_a
-
-    @property
-    def ratio(self) -> Optional[float]:
-        return self.mean_b / self.mean_a if self.mean_a else None
-
-
-def diff_spans(spans_a: Iterable[Span], spans_b: Iterable[Span]) -> list[KindDelta]:
-    """Per-span-kind latency deltas between two runs (B relative to A)."""
-    from repro.obs.spans import summarize_spans
-
-    a = {s.kind: s for s in summarize_spans(spans_a)}
-    b = {s.kind: s for s in summarize_spans(spans_b)}
-    out = []
-    for kind in sorted(set(a) | set(b)):
-        sa, sb = a.get(kind), b.get(kind)
-        out.append(
-            KindDelta(
-                kind=kind,
-                count_a=sa.count if sa else 0,
-                count_b=sb.count if sb else 0,
-                mean_a=sa.mean if sa else 0.0,
-                mean_b=sb.mean if sb else 0.0,
+        parent_of = parents(run.records)
+        for record in intervals(run.records):
+            kind = record["kind"]
+            start, end = interval(record)
+            args = {k: record[k] for k in sorted(record)}
+            args["status"] = status(record)
+            args["phases"] = [f"{name}@{time:.6f}" for name, time in phases(record)]
+            if record["seq"] in parent_of:
+                args["parent"] = parent_of[record["seq"]]
+            events.append(
+                {
+                    "name": f"{kind}:{label(record)}",
+                    "cat": kind,
+                    "ph": "X",
+                    "pid": pid,
+                    "tid": KINDS.index(kind) + 1,
+                    "ts": start * 1e6,
+                    "dur": (end - start) * 1e6,
+                    "args": args,
+                }
             )
-        )
-    return out
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

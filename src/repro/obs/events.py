@@ -200,7 +200,7 @@ class StageRequestReceived(ObsEvent):
     """A VNF received one STAGE_REQUEST batch.
 
     ``cids`` mirrors :class:`StagingSignalled` (comma-joined short
-    chunk ids) so per-chunk spans can mark request arrival.
+    chunk ids) so per-chunk lifecycles can mark request arrival.
     """
 
     vnf: str

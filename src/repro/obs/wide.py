@@ -12,8 +12,7 @@ timings in the same record), plus one record per encounter, coverage
 gap and handoff, and a per-run summary.
 
 The builder is a pure, deterministic fold over the stamped event
-sequence — exactly like :class:`~repro.obs.spans.SpanBuilder` — so
-deriving wide events *offline* from a recorded JSONL trace
+sequence, so deriving wide events *offline* from a recorded JSONL trace
 (``python -m repro trace wide``) produces **byte-identical** records to
 the ones a live run emitted (asserted by the parity tests and the CI
 telemetry smoke gate).
@@ -67,11 +66,24 @@ def policy_from_run_id(run_id: str) -> str:
     return ""
 
 
-def _overlap(start: float, end: float, intervals: list) -> float:
-    """Total overlap of ``[start, end]`` with a list of intervals."""
-    return sum(
-        max(0.0, min(end, hi) - max(start, lo)) for lo, hi in intervals
-    )
+def _overlaps(start: float, end: float, intervals: list) -> list:
+    """The non-empty pieces of ``[start, end]`` inside each interval."""
+    pieces = []
+    for lo, hi in intervals:
+        piece_lo, piece_hi = max(start, lo), min(end, hi)
+        if piece_hi > piece_lo:
+            pieces.append((piece_lo, piece_hi))
+    return pieces
+
+
+def _union_length(intervals: list) -> float:
+    """Total length covered by a list of possibly overlapping intervals."""
+    covered, end = 0.0, float("-inf")
+    for lo, hi in sorted(intervals):
+        if hi > end:
+            covered += hi - max(lo, end)
+            end = hi
+    return covered
 
 
 class WideEventWriter:
@@ -139,13 +151,18 @@ class WideEventBuilder:
     record and detach.  Records go to every sink in ``sinks``, in
     emission order; ``seq`` numbers them per run.
 
-    The fold keeps its own books (it does not depend on
-    :class:`~repro.obs.spans.SpanBuilder`): per-chunk phase timestamps,
-    the latest value of every sampled gauge (so ``lead_bytes`` /
-    ``progress_bytes`` at delivery come straight from the flight
-    recorder when it ran, and are ``None`` when it didn't), known
-    coverage-gap intervals (for the ``masked_s`` gain attribution),
-    and the current network (last completed handoff target).
+    The fold keeps per-chunk phase timestamps, the latest value of
+    every sampled gauge (so ``lead_bytes`` / ``progress_bytes`` at
+    delivery come straight from the flight recorder when it ran, and
+    are ``None`` when it didn't), known coverage-gap intervals (for
+    the ``masked_s`` gain attribution), and the current network (last
+    completed handoff target).
+
+    A chunk's ``masked_s`` is the gap time inside its lifecycle
+    (signal, or fetch start when never signalled, to delivery).  The
+    run record's ``masked_total_s`` is the gap time inside the *union*
+    of all lifecycles, so a gap several chunks span counts once and
+    the total never exceeds ``gap_time_s``.
     """
 
     def __init__(
@@ -176,7 +193,8 @@ class WideEventBuilder:
             "handoffs_completed": 0, "handoffs_deferred": 0,
             "dropped_packets": 0,
         }
-        self._masked_total = 0.0
+        #: Gap pieces inside delivered chunks' lifecycles (overlapping).
+        self._masked_pieces: list[tuple[float, float]] = []
         self._gap_time = 0.0
         self._encounter_time = 0.0
         self._buses: list[EventBus] = []
@@ -246,7 +264,7 @@ class WideEventBuilder:
                 "handoffs_completed": totals["handoffs_completed"],
                 "handoffs_deferred": totals["handoffs_deferred"],
                 "dropped_packets": totals["dropped_packets"],
-                "masked_total_s": self._masked_total,
+                "masked_total_s": _union_length(self._masked_pieces),
                 "lead_bytes": self._gauge_latest.get("staging.lead_bytes"),
                 "progress_bytes": self._gauge_latest.get(
                     "client.progress_bytes"
@@ -393,8 +411,8 @@ def _on_stale(b: WideEventBuilder, t: float, e: ev.StaleStagingResponse) -> None
 
 
 def _on_cache_stored(b: WideEventBuilder, t: float, e: ev.CacheStored) -> None:
-    # Origin-side publishes at t=0 never opened a lifecycle, so (like
-    # the span builder) only annotate chunks already in flight.
+    # Origin-side publishes at t=0 never opened a lifecycle, so only
+    # annotate chunks already in flight.
     state = b._chunks.get(e.cid)
     if state is not None:
         state["t_cached"] = t
@@ -408,12 +426,13 @@ def _on_chunk_fetched(b: WideEventBuilder, t: float, e: ev.ChunkFetched) -> None
     t_staged = state.get("t_staged")
     t_ready = state.get("t_ready")
     lifecycle_start = t_signalled if t_signalled is not None else fetch_start
-    masked = _overlap(lifecycle_start, t, b._gaps)
+    pieces = _overlaps(lifecycle_start, t, b._gaps)
+    masked = sum((hi - lo for lo, hi in pieces), 0.0)
     source = "edge" if e.from_edge else ("fallback" if e.fallback else "origin")
     b._totals["chunks"] += 1
     b._totals[source] += 1
     b._chunks_this_encounter += 1
-    b._masked_total += masked
+    b._masked_pieces.extend(pieces)
     b._emit({
         "kind": "chunk",
         "cid": e.cid,

@@ -41,10 +41,9 @@ class ForwardingEngine:
     """The route table for one router.
 
     One dict keyed by XID serves every routable principal type (the
-    XID value embeds its type, so NIDs and HIDs cannot collide); the
-    old per-principal ``nid_routes``/``hid_routes`` attributes remain
-    as read-only filtered views.  Every mutation fires :attr:`on_change`
-    so the owning router can invalidate its forwarding-decision cache.
+    XID value embeds its type, so NIDs and HIDs cannot collide).  Every
+    mutation fires :attr:`on_change` so the owning router can
+    invalidate its forwarding-decision cache.
     """
 
     def __init__(self) -> None:
@@ -86,24 +85,6 @@ class ForwardingEngine:
         if port is None and xid.principal_type is PrincipalType.NID:
             return self._default_port
         return port
-
-    # -- compatibility views -------------------------------------------------
-
-    @property
-    def nid_routes(self) -> dict[XID, Port]:
-        """Snapshot of the NID entries (read-only compatibility view)."""
-        return {
-            xid: port for xid, port in self.routes.items()
-            if xid.principal_type is PrincipalType.NID
-        }
-
-    @property
-    def hid_routes(self) -> dict[XID, Port]:
-        """Snapshot of the HID entries (read-only compatibility view)."""
-        return {
-            xid: port for xid, port in self.routes.items()
-            if xid.principal_type is PrincipalType.HID
-        }
 
     @staticmethod
     def _expect(xid: XID, principal_type: PrincipalType) -> None:

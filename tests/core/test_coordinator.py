@@ -10,6 +10,7 @@ import math
 import pytest
 
 from repro.core import ChunkProfile, SoftStageConfig, StagingCoordinator
+from repro.core.policy import ReactiveEq1Policy
 from repro.core.states import StagingState
 from repro.sim import Simulator
 from repro.xcache import Chunk
@@ -65,7 +66,8 @@ def test_eq1_threshold_from_estimates():
     profile.staging_latency.observe(1.0)
     profile.edge_fetch_latency.observe(0.5)
     # (0.02 + 1.0) / 0.5
-    assert coordinator.eq1_threshold() == pytest.approx(2.04)
+    policy = ReactiveEq1Policy(coordinator.config)
+    assert policy.eq1_threshold(coordinator.observe()) == pytest.approx(2.04)
 
 
 def test_eq1_threshold_uses_defaults_when_empty():
@@ -73,7 +75,8 @@ def test_eq1_threshold_uses_defaults_when_empty():
         default_rtt=0.05, default_staging_latency=2.0, default_fetch_latency=1.0
     )
     _, _, _, coordinator = build(config=config)
-    assert coordinator.eq1_threshold() == pytest.approx(2.05)
+    policy = ReactiveEq1Policy(coordinator.config)
+    assert policy.eq1_threshold(coordinator.observe()) == pytest.approx(2.05)
 
 
 def test_slow_internet_raises_threshold():
@@ -82,27 +85,30 @@ def test_slow_internet_raises_threshold():
     profile.rtt_to_edge.observe(0.02)
     profile.edge_fetch_latency.observe(0.5)
     profile.staging_latency.observe(0.5)
-    fast = coordinator.eq1_threshold()
+    policy = ReactiveEq1Policy(coordinator.config)
+    fast = policy.eq1_threshold(coordinator.observe())
     profile.staging_latency._value = 4.0  # Internet got 8x slower
-    slow = coordinator.eq1_threshold()
+    slow = policy.eq1_threshold(coordinator.observe())
     assert slow > 4 * fast
 
 
 def test_gap_allowance_scales_with_observed_gap():
     _, profile, _, c_small = build(sensor=FakeSensor(gap=8.0))
     profile.staging_latency.observe(1.0)
-    assert c_small.gap_allowance() == 8
+    policy = ReactiveEq1Policy(c_small.config)
+    assert policy.gap_allowance(c_small.observe()) == 8
 
     _, profile2, _, c_large = build(sensor=FakeSensor(gap=100.0))
     profile2.staging_latency.observe(1.0)
-    assert c_large.gap_allowance() == 100
+    assert policy.gap_allowance(c_large.observe()) == 100
 
 
 def test_target_capped_by_max_stage_ahead():
     config = SoftStageConfig(max_stage_ahead=10)
     _, profile, _, coordinator = build(config=config, sensor=FakeSensor(gap=500.0))
     profile.staging_latency.observe(1.0)
-    assert coordinator.target_signalled() == 10
+    policy = ReactiveEq1Policy(coordinator.config)
+    assert policy.target_signalled(coordinator.observe()) == 10
 
 
 def test_tick_signals_deficit():

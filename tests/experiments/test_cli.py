@@ -29,18 +29,24 @@ def test_cli_fig5_prints_table(capsys):
 
 def test_cli_demo_trace_and_spans(tmp_path, capsys):
     trace = tmp_path / "demo.jsonl"
-    assert main([
-        "demo", "--file-mb", "2", "--trace", str(trace), "--spans",
-    ]) == 0
+    assert main(["demo", "--file-mb", "2", "--trace", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "Spans [xftp-seed0]" in out
-    assert "Spans [softstage-seed0]" in out
-    assert trace.exists()
+    assert "trace written to" in out
     # Both runs landed in the one file, told apart by run id.
     from repro.obs import read_trace
 
     run_ids = {s.run_id for s in read_trace(str(trace))}
     assert run_ids == {"xftp-seed0", "softstage-seed0"}
+    # The lifecycle views and the A/B report come from the trace alone.
+    assert main(["trace", "summary", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "Spans [xftp-seed0]" in out
+    assert "Spans [softstage-seed0]" in out
+    assert main(["trace", "diff", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("why: xftp-seed0 -> softstage-seed0")
+    assert "phase contributors (ranked)" in out
+    assert "largest contributor" in out
 
 
 def test_cli_trace_subcommands_end_to_end(tmp_path, capsys):
@@ -62,19 +68,22 @@ def test_cli_trace_subcommands_end_to_end(tmp_path, capsys):
 
     chrome = tmp_path / "chrome.json"
     assert main(["trace", "chrome", str(trace), "-o", str(chrome)]) == 0
+    assert "trace events for 2 run(s)" in capsys.readouterr().out
     payload = json.loads(chrome.read_text())
     assert payload["traceEvents"]
     complete = [e for e in payload["traceEvents"] if e["ph"] == "X"]
     assert all("ts" in e and "dur" in e for e in complete)
 
-    # Diff the two runs inside the single multi-run file.
+    # Diff the two runs inside the single multi-run file: the why report.
     assert main(["trace", "diff", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "A=xftp-seed0" in out and "B=softstage-seed0" in out
+    within = capsys.readouterr().out
+    assert "why: xftp-seed0 -> softstage-seed0" in within
+    assert "largest contributor" in within
 
     # And the same run across two "files" (here: the same file twice).
     assert main(["trace", "diff", str(trace), str(trace),
                  "--run-a", "xftp-seed0", "--run-b", "softstage-seed0"]) == 0
+    assert capsys.readouterr().out == within
 
 
 def test_cli_emit_wide_matches_offline_trace_wide_byte_for_byte(

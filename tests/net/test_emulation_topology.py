@@ -93,11 +93,11 @@ def line_network():
 def test_static_routes_install_nid_and_hid_tables():
     _, net, host_a, r1, r2, host_b = line_network()
     # r1 routes net2 toward r2 and vice versa.
-    assert r1.engine.nid_routes[r2.nid].peer.device is r2
-    assert r2.engine.nid_routes[r1.nid].peer.device is r1
+    assert r1.engine.routes[r2.nid].peer.device is r2
+    assert r2.engine.routes[r1.nid].peer.device is r1
     # Wired hosts' HIDs installed at their adjacent routers.
-    assert r1.engine.hid_routes[host_a.hid].peer.device is host_a
-    assert r2.engine.hid_routes[host_b.hid].peer.device is host_b
+    assert r1.engine.routes[host_a.hid].peer.device is host_a
+    assert r2.engine.routes[host_b.hid].peer.device is host_b
     # And the hosts learned their network.
     assert host_a.port_nids[host_a.port(0)] == r1.nid
 

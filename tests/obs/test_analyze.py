@@ -1,14 +1,15 @@
-"""Trace analysis: breakdowns, critical path, Chrome export, diffs."""
+"""Trace analysis over wide records: breakdown, critical path, Chrome, diff."""
 
 import io
 import json
+
+import pytest
 
 from repro.obs import Stamped
 from repro.obs.analyze import (
     chrome_trace,
     critical_path,
-    diff_spans,
-    latency_breakdown,
+    intervals,
     load_runs,
     pick_run,
     summarize_breakdown,
@@ -19,8 +20,9 @@ from repro.obs.events import (
     StagingSignalled,
     VnfStageCompleted,
 )
-from repro.obs.spans import build_spans
+from repro.obs.explain import explain, render_why
 from repro.obs.trace import EventBus, TraceExporter
+from repro.obs.wide import derive_wide
 
 
 def stamp(t, event, run="r0"):
@@ -48,30 +50,32 @@ def trace_text(stampeds):
 
 
 def test_latency_breakdown_decomposes_phases():
-    rows = latency_breakdown(build_spans(LIFECYCLE))
-    by_cid = {r.cid: r for r in rows}
+    records = derive_wide(LIFECYCLE)
+    by_cid = {r["cid"]: r for r in records if r["kind"] == "chunk"}
     c1 = by_cid["c1"]
-    assert c1.source == "edge"
-    assert c1.stage_wait == 2.0        # signalled 0.0 -> staged 2.0
-    assert c1.fetch_time == 0.5
-    # Staging interval [0, 2] overlaps the [1, 3] gap for one second.
-    assert c1.masked == 1.0
+    assert c1["source"] == "edge"
+    assert c1["stage_wait_s"] == 2.0        # signalled 0.0 -> staged 2.0
+    assert c1["fetch_latency"] == 0.5
+    # Both lifecycles ([0, 5] and [0, 12]) cover the whole [1, 3] gap.
+    assert c1["masked_s"] == 2.0
     c2 = by_cid["c2"]
-    assert c2.source == "fallback"
-    assert c2.stage_wait == 9.0
-    assert c2.masked == 2.0  # its [0, 9] staging covers the whole gap
+    assert c2["source"] == "fallback"
+    assert c2["stage_wait_s"] == 9.0
+    assert c2["masked_s"] == 2.0
 
-    summary = summarize_breakdown(rows)
+    summary = summarize_breakdown(records)
     assert summary.chunks == 2 and summary.edge == 1 and summary.fallback == 1
+    assert summary.mean_stage_wait == 5.5
     assert summary.mean_edge_fetch == 0.5
     assert summary.mean_origin_fetch == 3.0
-    assert summary.masked_total == 3.0
+    # The masked row is the run record's union: the gap counts once.
+    assert summary.masked_total == 2.0
 
 
 def test_critical_path_partitions_the_download():
-    segments = critical_path(build_spans(LIFECYCLE))
+    segments = critical_path(derive_wide(LIFECYCLE))
     assert [s.cid for s in segments] == ["c1", "c2"]
-    # c1 blocks from its span start (0.0) to its delivery (5.0)...
+    # c1 blocks from its lifecycle start (0.0) to its delivery (5.0)...
     assert (segments[0].start, segments[0].end) == (0.0, 5.0)
     # ...then c2 blocks until the download completes at 12.0.
     assert (segments[1].start, segments[1].end) == (5.0, 12.0)
@@ -89,7 +93,8 @@ def test_load_runs_splits_multi_run_traces():
     runs = load_runs(io.StringIO(trace_text(mixed)))
     assert list(runs) == ["A", "B"]
     assert runs["A"].events_total == 2
-    assert len(runs["A"].spans) == 2
+    assert len(intervals(runs["A"].records)) == 2
+    assert runs["A"].records[-1]["kind"] == "run"
     assert pick_run(runs).run_id == "A"
     assert pick_run(runs, "B").run_id == "B"
 
@@ -102,30 +107,33 @@ def test_chrome_trace_is_valid_trace_event_json():
     events = payload["traceEvents"]
     assert payload["displayTimeUnit"] == "ms"
     complete = [e for e in events if e["ph"] == "X"]
-    assert complete, "expected complete (ph=X) span events"
+    assert complete, "expected complete (ph=X) events"
     for e in complete:
         assert {"name", "cat", "ts", "dur", "pid", "tid"} <= set(e)
         assert e["dur"] >= 0
-    # c1's chunk span: [0, 5] seconds -> microseconds.
+    # c1's lifecycle: [0, 5] seconds -> microseconds.
     c1 = next(e for e in complete if e["name"] == "chunk:c1")
     assert c1["ts"] == 0.0 and c1["dur"] == 5.0e6
+    assert c1["args"]["phases"][0] == "signalled@0.000000"
+    assert c1["args"]["phases"][-1] == "fetched@5.000000"
     # Metadata names the run.
     meta = [e for e in events if e["ph"] == "M" and e["name"] == "process_name"]
     assert meta[0]["args"]["name"] == "r0"
 
 
-def test_diff_reports_per_kind_deltas():
-    fast = build_spans([
-        stamp(0.0, StagingSignalled(count=1, label="eq1", cids="c1")),
-        stamp(1.0, ChunkFetched(cid="c1", latency=0.5, from_edge=True, fallback=False)),
+def test_diff_attributes_the_delta_through_why():
+    fast = derive_wide([
+        stamp(0.0, StagingSignalled(count=1, label="eq1", cids="c1"), run="fast"),
+        stamp(1.0, ChunkFetched(cid="c1", latency=0.5, from_edge=True, fallback=False), run="fast"),
     ])
-    slow = build_spans([
-        stamp(0.0, StagingSignalled(count=1, label="eq1", cids="c1")),
-        stamp(4.0, ChunkFetched(cid="c1", latency=3.0, from_edge=False, fallback=False)),
+    slow = derive_wide([
+        stamp(0.0, StagingSignalled(count=1, label="eq1", cids="c1"), run="slow"),
+        stamp(4.0, ChunkFetched(cid="c1", latency=3.0, from_edge=False, fallback=False), run="slow"),
     ])
-    (delta,) = diff_spans(fast, slow)
-    assert delta.kind == "chunk"
-    assert delta.count_a == delta.count_b == 1
-    assert delta.mean_a == 1.0 and delta.mean_b == 4.0
-    assert delta.delta == 3.0
-    assert delta.ratio == 4.0
+    explanation = explain(fast, slow)
+    assert explanation.time_delta == 3.0
+    top = explanation.contributors[0]
+    assert top.name == "fetch.origin" and top.delta == pytest.approx(3.0)
+    report = render_why(explanation)
+    assert report.startswith("why: fast -> slow")
+    assert "largest contributor: fetch.origin +3.000s" in report

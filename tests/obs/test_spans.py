@@ -1,10 +1,22 @@
-"""Span derivation: lifecycle folding, variants, parents, parity."""
+"""Span views over wide records: lifecycle variants, parents, parity."""
 
 import pytest
 
 from repro.experiments.params import MicrobenchParams
+from repro.experiments.report import render_breakdown
 from repro.experiments.runner import run_download
-from repro.obs import Stamped, read_trace
+from repro.obs import Stamped
+from repro.obs.analyze import (
+    interval,
+    intervals,
+    label,
+    load_runs,
+    parents,
+    phases,
+    render_summary,
+    status,
+    summarize_breakdown,
+)
 from repro.obs.events import (
     CacheStored,
     ChunkFetched,
@@ -20,7 +32,7 @@ from repro.obs.events import (
     VnfStageCompleted,
     VnfStageFailed,
 )
-from repro.obs.spans import SpanBuilder, build_spans, render_summary
+from repro.obs.wide import WideEventBuilder, derive_wide
 from repro.util import MB
 
 
@@ -28,15 +40,15 @@ def stamp(t, event, run="r0"):
     return Stamped(t, run, event)
 
 
-def spans_of(stampeds, **kw):
-    return build_spans(stampeds, **kw)
+def chunk(records, cid):
+    return next(r for r in records if r["kind"] == "chunk" and r["cid"] == cid)
 
 
 # -- chunk lifecycle ---------------------------------------------------------
 
 
 def test_full_edge_lifecycle_produces_one_chunk_span():
-    spans = spans_of([
+    records = derive_wide([
         stamp(1.0, StagingSignalled(count=2, label="eq1", cids="c1,c2")),
         stamp(1.2, StageRequestReceived(vnf="edge1", chunks=2, cids="c1,c2")),
         stamp(2.0, VnfStageCompleted(vnf="edge1", cid="c1", latency=0.8)),
@@ -44,129 +56,131 @@ def test_full_edge_lifecycle_produces_one_chunk_span():
         stamp(2.3, ChunkStaged(cid="c1", staging_latency=0.8, control_rtt=0.5)),
         stamp(3.0, ChunkFetched(cid="c1", latency=0.4, from_edge=True, fallback=False)),
     ])
-    chunk = next(s for s in spans if s.kind == "chunk" and s.key == "c1")
-    assert chunk.start == 1.0 and chunk.end == 3.0
-    assert chunk.status == "edge"
-    assert [name for name, _ in chunk.phases] == [
-        "signalled", "stage_request", "staged", "cached", "ready", "fetched",
+    c1 = chunk(records, "c1")
+    assert interval(c1) == (1.0, 3.0)
+    assert status(c1) == "edge"
+    # Equal times break ties in lifecycle order: cached before staged.
+    assert [name for name, _ in phases(c1)] == [
+        "signalled", "stage_request", "cached", "staged", "ready", "fetched",
     ]
-    assert chunk.attrs["vnf"] == "edge1"
-    assert chunk.attrs["stage_latency"] == 0.8
-    assert chunk.attrs["fetch_start"] == pytest.approx(2.6)
-    # c2 was signalled but never delivered: still open.
-    other = next(s for s in spans if s.key == "c2")
-    assert other.end is None and other.status == "staging"
+    assert c1["vnf"] == "edge1"
+    assert c1["stage_latency"] == 0.8
+    assert c1["t_fetch_start"] == pytest.approx(2.6)
+    # c2 was signalled but never delivered: no record, one open chunk.
+    assert [label(r) for r in intervals(records)] == ["c1"]
+    assert records[-1]["chunks_open"] == 1
+    summary = render_summary(records)
+    assert "     chunk |      2 |      1 |" in summary
+    assert "     chunk: edge=1, staging=1" in summary
 
 
 def test_origin_fallback_and_unsignalled_variants():
-    spans = spans_of([
+    records = derive_wide([
         stamp(0.0, StagingSignalled(count=1, label="eq1", cids="c1")),
         stamp(0.5, VnfStageFailed(vnf="edge1", cid="c1")),
         stamp(4.0, ChunkFetched(cid="c1", latency=3.0, from_edge=False, fallback=True)),
-        # Never signalled: span opens retroactively at fetch start.
+        # Never signalled: the lifecycle starts at fetch start.
         stamp(9.0, ChunkFetched(cid="c9", latency=2.0, from_edge=False, fallback=False)),
     ])
-    c1 = next(s for s in spans if s.key == "c1")
-    assert c1.status == "fallback"
-    assert c1.phase_time("stage_failed") == 0.5
-    c9 = next(s for s in spans if s.key == "c9")
-    assert c9.status == "origin"
-    assert c9.start == 7.0 and c9.end == 9.0
+    c1 = chunk(records, "c1")
+    assert status(c1) == "fallback"
+    assert c1["stage_failures"] == 1
+    c9 = chunk(records, "c9")
+    assert status(c9) == "origin"
+    assert interval(c9) == (7.0, 9.0)
+    assert [name for name, _ in phases(c9)] == ["fetched"]
 
 
 def test_re_signal_and_stale_response_marks():
-    spans = spans_of([
+    records = derive_wide([
         stamp(0.0, StagingSignalled(count=1, label="eq1", cids="c1")),
         stamp(5.0, StagingSignalled(count=1, label="re-signal", cids="c1")),
         stamp(6.0, StaleStagingResponse(cid="c1")),
+        stamp(7.0, ChunkFetched(cid="c1", latency=0.5, from_edge=True, fallback=False)),
     ])
-    (c1,) = [s for s in spans if s.key == "c1"]
-    assert c1.attrs["re_signals"] == 1
-    assert c1.attrs["stale_responses"] == 1
-    assert c1.phase_time("re-signalled") == 5.0
+    c1 = chunk(records, "c1")
+    assert c1["re_signals"] == 1
+    assert c1["stale_responses"] == 1
+    assert interval(c1) == (0.0, 7.0)  # the first signal opens it
 
 
 def test_cache_stored_never_opens_a_span():
     # Origin-side publishes at t=0 must not look like staging.
-    spans = spans_of([
+    records = derive_wide([
         stamp(0.0, CacheStored(store="origin", cid="c1", size_bytes=4, pinned=False)),
     ])
-    assert spans == []
+    assert intervals(records) == []
+    assert records[-1]["chunks_open"] == 0
 
 
 # -- encounters, gaps, handoffs ---------------------------------------------
 
 
 def test_encounter_and_gap_spans_are_retroactive_intervals():
-    spans = spans_of([
+    records = derive_wide([
         stamp(12.0, EncounterEnded(duration=12.0)),
         stamp(20.0, CoverageGap(duration=8.0)),
     ])
-    enc = next(s for s in spans if s.kind == "encounter")
-    gap = next(s for s in spans if s.kind == "gap")
-    assert (enc.start, enc.end) == (0.0, 12.0)
-    assert (gap.start, gap.end) == (12.0, 20.0)
-    assert gap.status == "offline"
+    enc, gap = intervals(records)
+    assert (label(enc), interval(enc), status(enc)) == ("enc1", (0.0, 12.0), "ended")
+    assert (label(gap), interval(gap), status(gap)) == ("gap1", (12.0, 20.0), "offline")
 
 
 def test_handoff_span_variants():
-    spans = spans_of([
+    records = derive_wide([
         stamp(1.0, HandoffDeferred(target="net2")),
         stamp(2.0, HandoffStarted(target="net2")),
         stamp(2.5, HandoffCompleted(target="net2", duration=0.5)),
     ])
-    deferred, executed = [s for s in spans if s.kind == "handoff"]
-    assert deferred.status == "deferred" and deferred.duration == 0.0
-    assert executed.status == "completed"
-    assert executed.start == 2.0 and executed.end == 2.5
-    assert executed.attrs["join_duration"] == 0.5
+    deferred, executed = intervals(records)
+    assert status(deferred) == "deferred" and interval(deferred) == (1.0, 1.0)
+    assert status(executed) == "completed"
+    assert interval(executed) == (2.0, 2.5)
+    assert label(executed) == "net2"
+    assert executed["duration_s"] == 0.5
+    assert "   handoff: completed=1, deferred=1" in render_summary(records)
 
 
 def test_chunk_nests_under_delivering_encounter():
-    spans = spans_of([
+    records = derive_wide([
         stamp(1.0, StagingSignalled(count=2, label="eq1", cids="c1,c2")),
         stamp(3.0, ChunkFetched(cid="c1", latency=1.0, from_edge=True, fallback=False)),
         stamp(5.0, EncounterEnded(duration=5.0)),       # [0, 5]
         stamp(30.0, ChunkFetched(cid="c2", latency=1.0, from_edge=True, fallback=False)),
     ])
-    enc = next(s for s in spans if s.kind == "encounter")
-    c1 = next(s for s in spans if s.key == "c1")
-    c2 = next(s for s in spans if s.key == "c2")
-    assert c1.parent_id == enc.span_id
-    assert c2.parent_id is None  # delivered after the last ended encounter
+    enc = next(r for r in records if r["kind"] == "encounter")
+    parent_of = parents(records)
+    assert parent_of[chunk(records, "c1")["seq"]] == enc["seq"]
+    # Delivered after the last ended encounter: no parent.
+    assert chunk(records, "c2")["seq"] not in parent_of
 
 
 # -- builder mechanics -------------------------------------------------------
 
 
 def test_builder_adopts_first_run_and_skips_others():
-    builder = SpanBuilder()
+    records = []
+    builder = WideEventBuilder(sinks=[records.append])
     builder.feed(stamp(1.0, HandoffDeferred(target="a"), run="runA"))
     builder.feed(stamp(2.0, HandoffDeferred(target="b"), run="runB"))
-    spans = builder.finish()
+    builder.finish()
     assert builder.run_id == "runA"
     assert builder.skipped_other_runs == 1
-    assert [s.key for s in spans] == ["a"]
+    assert [label(r) for r in intervals(records)] == ["a"]
 
 
 def test_finish_is_idempotent():
-    builder = SpanBuilder()
+    records = []
+    builder = WideEventBuilder(sinks=[records.append])
     builder.feed(stamp(1.0, HandoffDeferred(target="a")))
-    assert builder.finish() == builder.finish()
+    first = builder.finish()
+    views = [(label(r), interval(r)) for r in intervals(records)]
+    assert builder.finish() == first
+    assert [(label(r), interval(r)) for r in intervals(records)] == views
+    assert [r["kind"] for r in records].count("run") == 1
 
 
-def test_span_to_dict_is_json_friendly():
-    import json
-
-    spans = spans_of([
-        stamp(1.0, StagingSignalled(count=1, label="eq1", cids="c1")),
-        stamp(2.0, ChunkFetched(cid="c1", latency=0.5, from_edge=True, fallback=False)),
-    ])
-    payload = json.dumps([s.to_dict() for s in spans])
-    assert json.loads(payload)[0]["kind"] == "chunk"
-
-
-# -- live/offline parity (the headline guarantee) ---------------------------
+# -- live/replay parity (the headline guarantee) -----------------------------
 
 PARAMS = MicrobenchParams(file_size=4 * MB, chunk_size=1 * MB, packet_loss=0.05)
 
@@ -175,15 +189,18 @@ PARAMS = MicrobenchParams(file_size=4 * MB, chunk_size=1 * MB, packet_loss=0.05)
 def test_offline_span_derivation_equals_live(system, tmp_path):
     trace = tmp_path / f"{system}.jsonl"
     result = run_download(
-        system, params=PARAMS, seed=0, trace_path=str(trace), spans=True,
+        system, params=PARAMS, seed=0, trace_path=str(trace),
+        wide=str(tmp_path / "wide.jsonl"),
     )
-    live = result.spans
-    offline = build_spans(read_trace(str(trace)), run_id=result.run_id)
-    assert [s.to_dict() for s in offline] == [s.to_dict() for s in live]
-    # The rendered summaries must be byte-identical.
-    assert render_summary(offline) == render_summary(live)
+    offline = load_runs(str(trace))[result.run_id].records
+    assert offline == result.wide_records
+    # The rendered `trace summary` tables must be byte-identical.
+    assert render_summary(offline) == render_summary(result.wide_records)
+    assert render_breakdown(summarize_breakdown(offline)) == render_breakdown(
+        summarize_breakdown(result.wide_records)
+    )
     if system == "softstage":
-        assert any(s.kind == "chunk" for s in live)
+        assert any(r["kind"] == "chunk" for r in offline)
 
 
 def test_offline_derivation_is_deterministic(tmp_path):
@@ -191,6 +208,7 @@ def test_offline_derivation_is_deterministic(tmp_path):
     result = run_download(
         "softstage", params=PARAMS, seed=1, trace_path=str(trace),
     )
-    first = build_spans(read_trace(str(trace)), run_id=result.run_id)
-    second = build_spans(read_trace(str(trace)), run_id=result.run_id)
-    assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
+    first = load_runs(str(trace))[result.run_id].records
+    second = load_runs(str(trace))[result.run_id].records
+    assert first == second
+    assert render_summary(first) == render_summary(second)

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.params import MicrobenchParams
 from repro.experiments.runner import run_download
@@ -180,6 +182,57 @@ def test_re_signals_and_gap_masking_are_attributed():
     assert summary["masked_total_s"] == pytest.approx(3.0)
     assert summary["re_signals"] == 1
     assert summary["gap_time_s"] == 3.0
+
+
+def test_masked_total_counts_a_gap_shared_by_two_chunks_once():
+    records = derive_wide([
+        Stamped(1.0, "r", ev.StagingSignalled(count=2, label="eq1",
+                                              cids="c1,c2")),
+        # One 3 s coverage gap [3, 6] inside both lifecycles.
+        Stamped(6.0, "r", ev.CoverageGap(duration=3.0)),
+        Stamped(7.0, "r", ev.ChunkFetched(cid="c1", latency=0.5,
+                                          from_edge=True, fallback=False)),
+        Stamped(8.0, "r", ev.ChunkFetched(cid="c2", latency=0.5,
+                                          from_edge=True, fallback=False)),
+    ])
+    chunks = [r for r in records if r["kind"] == "chunk"]
+    assert [c["masked_s"] for c in chunks] == [3.0, 3.0]
+    summary = records[-1]
+    assert summary["masked_total_s"] == 3.0
+    assert summary["gap_time_s"] == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=5.0),
+        st.sampled_from(["signal", "fetch", "gap"]),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=0.0, max_value=8.0),
+    ),
+    min_size=1,
+    max_size=30,
+))
+def test_masked_total_never_exceeds_the_gap_time(steps):
+    """Whatever the overlap of lifecycles and gaps, a gap counts once."""
+    stampeds = []
+    t = 0.0
+    for advance, action, chunk, length in steps:
+        t += advance
+        cid = f"c{chunk}"
+        if action == "signal":
+            event = ev.StagingSignalled(count=1, label="eq1", cids=cid)
+        elif action == "fetch":
+            event = ev.ChunkFetched(cid=cid, latency=min(length, t),
+                                    from_edge=True, fallback=False)
+        else:
+            event = ev.CoverageGap(duration=min(length, t))
+        stampeds.append(Stamped(t, "r", event))
+    records = derive_wide(stampeds)
+    summary = records[-1]
+    masked = [r["masked_s"] for r in records if r["kind"] == "chunk"]
+    assert summary["masked_total_s"] <= summary["gap_time_s"] + 1e-9
+    assert summary["masked_total_s"] <= sum(masked) + 1e-9
 
 
 def test_handoff_updates_the_current_network():
