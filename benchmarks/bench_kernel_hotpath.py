@@ -3,8 +3,9 @@
 Pumps a fixed number of packets through the two packet paths the whole
 evaluation stands on — a wired point-to-point link and a half-duplex
 wireless link — and measures the event-loop throughput (kernel steps
-per wall second), the heap pushes per delivered packet, and the
-wall-clock of one small fig5-style ``run_download``.
+per wall second), the heap pushes per delivered packet, and one small
+fig5-style ``run_download``: its wall-clock, kernel steps and mean
+event-heap depth.
 
 Runs two ways:
 
@@ -16,7 +17,10 @@ Runs two ways:
   appends them to ``BENCH_kernel.json`` via :mod:`repro.perf`, and
   with ``--check`` fails on a regression against the recorded
   baseline (events/sec: same-machine entries only, 30% tolerance;
-  pushes/packet: machine-independent, 5% tolerance).
+  pushes/packet: machine-independent, 5% tolerance; the download's
+  mean heap depth: any machine's entries at the same download size,
+  50% tolerance — superseded timers left in the heap once made it
+  8x deeper).
 """
 
 from __future__ import annotations
@@ -103,8 +107,13 @@ def pump(link_kind: str, packets: int = DEFAULT_PACKETS) -> dict:
     }
 
 
-def fig5_download_wall(file_mb: float = 4.0) -> float:
-    """Wall-clock seconds of one small fig5-style full-stack download."""
+def fig5_download(file_mb: float = 4.0) -> dict:
+    """One small fig5-style full-stack download: wall clock and kernel work.
+
+    The wall clock comes from an unprofiled run; the step count and
+    mean heap depth (deterministic at a fixed seed) from a second,
+    profiled run of the same download.
+    """
     from repro.experiments.params import MicrobenchParams
     from repro.experiments.runner import run_download
     from repro.util import MB
@@ -112,7 +121,28 @@ def fig5_download_wall(file_mb: float = 4.0) -> float:
     params = MicrobenchParams(file_size=int(file_mb * MB))
     started = perf_counter()
     run_download("softstage", params=params, seed=0)
-    return perf_counter() - started
+    wall = perf_counter() - started
+    profiler = run_download("softstage", params=params, seed=0,
+                            profile=True).profile
+    return {
+        "download_mb": file_mb,
+        "download_wall_s": wall,
+        "download.steps": profiler.steps,
+        "download.queue_depth_mean": profiler.mean_depth,
+    }
+
+
+def depth_baseline(download_mb: float):
+    """Lowest recorded download heap depth at this download size."""
+    from repro import perf
+
+    depths = [
+        entry["metrics"]["download.queue_depth_mean"]
+        for entry in perf.load("kernel")["entries"]
+        if entry["metrics"].get("download_mb") == download_mb
+        and "download.queue_depth_mean" in entry["metrics"]
+    ]
+    return min(depths, default=None)
 
 
 def measure(packets: int = DEFAULT_PACKETS, rounds: int = 3,
@@ -133,7 +163,7 @@ def measure(packets: int = DEFAULT_PACKETS, rounds: int = 3,
         "wireless.events_per_sec": med(wireless, "events_per_sec"),
         "wireless.pushes_per_packet": med(wireless, "pushes_per_packet"),
         "wireless.pool_reuses": med(wireless, "pool_reuses"),
-        "download_wall_s": fig5_download_wall(download_mb),
+        **fig5_download(download_mb),
     }
 
 
@@ -205,6 +235,14 @@ def main(argv=None) -> int:
                 failures.append(
                     f"{key}: {metrics[key]:,.0f} is >30% below baseline {base:,.0f}"
                 )
+        # Deterministic, but only comparable at the same download size.
+        depth = metrics["download.queue_depth_mean"]
+        base = depth_baseline(args.download_mb)
+        if base is not None and depth > base * 1.5:
+            failures.append(
+                f"download.queue_depth_mean: {depth:,.1f} is >50% above "
+                f"baseline {base:,.1f} at {args.download_mb:g} MB"
+            )
 
     if not args.no_record:
         perf.record("kernel", metrics, label=args.label)

@@ -158,6 +158,8 @@ def run_download(
     in the same file (or from different invocations) can be told
     apart and diffed.
     """
+    import gc
+
     from repro.transport.config import XIA_CHUNK
 
     if policy is not None and system != "softstage":
@@ -169,6 +171,11 @@ def run_download(
         # publish the whole object as one chunk.
         params = params or MicrobenchParams()
         params = params.with_(chunk_size=params.file_size)
+    # A finished run's testbed is one large reference cycle (events,
+    # callbacks, sessions, coverage windows): only a full collection
+    # frees it.  Collect before building the next, so back-to-back runs
+    # never hold several dead testbeds at once.
+    gc.collect()
     scenario = TestbedScenario(
         params=params,
         seed=seed,

@@ -384,6 +384,28 @@ class Simulator:
         self.pool_allocs += 1
         return event
 
+    def call_at(
+        self, when: float, callback: Callable[[Event], None], name: str = ""
+    ) -> None:
+        """Run ``callback(event)`` at the absolute sim time ``when``.
+
+        The callback rides a pooled, fire-and-forget event (see
+        :meth:`pooled_event`) pushed at exactly ``when``.  Scheduling
+        the same instant as a relative ``delay = when - now`` would
+        round: ``now + (when - now)`` equals ``when`` only once
+        ``now >= when / 2`` (Sterbenz), so a component that keeps its
+        own deadlines hands them over here unchanged.
+        """
+        if when < self._now:
+            raise ValueError(f"call_at({when!r}) is in the past (now={self._now})")
+        event = self.pooled_event(name)
+        event.callbacks.append(callback)
+        event._ok = True
+        event._value = None
+        event._scheduled = True
+        self._seq += 1
+        heapq.heappush(self._queue, (when, NORMAL, self._seq, event))
+
     def timeout(self, delay: float, value: Any = None) -> "Event":
         """An event that fires ``delay`` seconds from now."""
         global _Timeout

@@ -31,6 +31,7 @@ from repro.xia.packet import Packet, PacketType
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Port
     from repro.net.nodes import Host
+    from repro.xia.ids import XID
 
 _session_ids = itertools.count(1)
 
@@ -142,7 +143,12 @@ class SenderSession:
         self.rttvar = 0.0
         self.rto = config.min_rto * 5  # conservative until first sample
         self._send_times: dict[int, float] = {}
-        self._timer_version = 0
+        #: When the armed RTO expires (absolute sim time); ``None``
+        #: while no timer is armed (completed, or paused to migrate).
+        self._rto_deadline: Optional[float] = None
+        #: Time of the live pending timer event; ``None`` when none is
+        #: pending.  Never later than ``_rto_deadline``.
+        self._timer_at: Optional[float] = None
 
         # Stats.
         self.started_at = self.sim.now
@@ -267,7 +273,6 @@ class SenderSession:
                 self.next_seq = self.head
             self._arm_timer()
             if self.completed:
-                self._timer_version += 1
                 self._wake()
                 if not self.done.triggered:
                     self.done.succeed(self)
@@ -311,16 +316,38 @@ class SenderSession:
     # -- timers ---------------------------------------------------------------
 
     def _arm_timer(self) -> None:
-        self._timer_version += 1
-        if self.completed or self._paused:
-            return
-        self.sim.process(self._rto_watch(self._timer_version, self.rto))
+        """(Re)start the RTO: expire ``rto`` seconds from now.
 
-    def _rto_watch(self, version: int, delay: float):
-        yield self.sim.timeout(delay)
-        if version != self._timer_version or self.completed or self._paused:
+        Re-arming on every ACK only moves the deadline.  A kernel event
+        is pushed when none is pending or the new deadline is earlier
+        than the pending one (the first RTT sample shrinks the initial
+        ``5 * min_rto``); a pending event that fires early re-pushes
+        itself at the deadline.  Events go in at the absolute deadline,
+        so the timeout fires at exactly ``arm time + rto``.
+        """
+        if self.completed or self._paused:
+            self._rto_deadline = None
             return
-        self._on_timeout()
+        deadline = self.sim.now + self.rto
+        self._rto_deadline = deadline
+        timer_at = self._timer_at
+        if timer_at is None or deadline < timer_at:
+            self._timer_at = deadline
+            self.sim.call_at(deadline, self._on_timer, name="rto")
+
+    def _on_timer(self, event: Event) -> None:
+        now = self.sim.now
+        if now != self._timer_at:
+            return  # superseded by an earlier deadline
+        deadline = self._rto_deadline
+        if deadline is None:
+            self._timer_at = None
+        elif now < deadline:
+            self._timer_at = deadline
+            self.sim.call_at(deadline, self._on_timer, name="rto")
+        else:
+            self._timer_at = None
+            self._on_timeout()
 
     def _on_timeout(self) -> None:
         self.timeouts += 1
@@ -386,7 +413,7 @@ class SenderSession:
 
     def _resume_after_migration(self):
         self._paused = True
-        self._timer_version += 1
+        self._rto_deadline = None
         yield self.sim.timeout(self.config.migration_delay)
         self._paused = False
         self.cwnd = float(self.config.initial_cwnd)
@@ -428,6 +455,9 @@ class ReceiverSession:
         self._since_ack = 0
         self.peer_dag: Optional[DagAddress] = None
         self.first_data_meta: Optional[dict[str, Any]] = None
+        # _local_dag's memo: the NID the address was built from, and it.
+        self._dag_nid: Optional["XID"] = None
+        self._dag: Optional[DagAddress] = None
         #: Fires on the first DATA packet (stops request retries).
         self.started: Event = self.sim.event(name=f"recv-start-{session_id}")
         #: Fires when the transfer completes, with this session.
@@ -507,9 +537,13 @@ class ReceiverSession:
         self.endpoint.host.send(ack)
 
     def _local_dag(self) -> DagAddress:
+        """This host's address, rebuilt only when its attachment changes."""
         host = self.endpoint.host
         nid = getattr(host, "current_nid", None) or getattr(host, "nid", None)
-        return DagAddress.host(host.hid, nid)
+        if self._dag is None or nid != self._dag_nid:
+            self._dag = DagAddress.host(host.hid, nid)
+            self._dag_nid = nid
+        return self._dag
 
     # -- migration -------------------------------------------------------------
 

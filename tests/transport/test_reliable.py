@@ -23,22 +23,23 @@ class Pair:
     """Two hosts on one link, with endpoints."""
 
     def __init__(self, loss=0.0, bandwidth=mbps(50), delay=ms(2), seed=3,
-                 config: TransportConfig = CONFIG):
+                 config: TransportConfig = CONFIG, host_b=Host):
         self.sim = Simulator()
         net = Network(self.sim, RandomStreams(seed))
         self.a = net.add_device(Host(self.sim, "a", HID("a")))
-        self.b = net.add_device(Host(self.sim, "b", HID("b")))
+        self.b = net.add_device(host_b(self.sim, "b", HID("b")))
         loss_model = (
             BernoulliLoss(loss, RandomStreams(seed).stream("l"))
             if loss else None
         )
-        link = Link(self.sim, "ab", bandwidth, delay,
-                    loss_a_to_b=loss_model, loss_b_to_a=None)
-        net.connect(self.a, self.b, link)
+        self.link = Link(self.sim, "ab", bandwidth, delay,
+                         loss_a_to_b=loss_model, loss_b_to_a=None)
+        net.connect(self.a, self.b, self.link)
         self.ep_a = TransportEndpoint(self.sim, self.a, config)
         self.ep_b = TransportEndpoint(self.sim, self.b, config)
 
-    def transfer(self, total_bytes, config=None):
+    def start(self, total_bytes, config=None):
+        """Open a receiver on b and start a sender on a toward it."""
         session = new_session_id()
         receiver = self.ep_b.open_receiver(session, config=config)
         sender = self.ep_a.start_send(
@@ -48,6 +49,10 @@ class Pair:
             total_bytes=total_bytes,
             config=config,
         )
+        return sender, receiver
+
+    def transfer(self, total_bytes, config=None):
+        sender, receiver = self.start(total_bytes, config)
         self.sim.run(until=receiver.done)
         # Let the final ACKs drain back so the sender completes too.
         if not sender.done.triggered:
