@@ -641,28 +641,29 @@ def cmd_runs_show(args) -> None:
 
 
 def cmd_runs_diff(args) -> None:
-    from repro.obs.registry import diff_records, regressions
+    from repro.obs.registry import diff_records
+    from repro.obs.slo import diff_payload, judge_diff, violations
 
     registry = _registry(args)
     record_a = _find_record(registry, args.run_a)
     record_b = _find_record(registry, args.run_b)
     deltas = diff_records(record_a, record_b)
+    flagged = violations(judge_diff(deltas))
     if args.json:
-        from repro.obs.registry import diff_payload
-
-        payload = diff_payload(record_a, record_b, deltas)
+        payload = diff_payload(record_a, record_b, deltas, flagged)
         print(json.dumps(payload, indent=2, sort_keys=True))
-        if payload["regressions"] and args.fail_on_regression:
+        if flagged and args.fail_on_regression:
             raise SystemExit(1)
         return
     if not deltas:
         print(f"records {record_a.rec_id} and {record_b.rec_id} share "
               f"no numeric metrics")
         return
+    regressed = {r.slo.metric for r in flagged}
     rows = []
     for d in deltas:
         ratio = f"{d.ratio:.3f}" if d.ratio is not None else "-"
-        flag = "REGRESSION" if d.regression else ""
+        flag = "REGRESSION" if d.name in regressed else ""
         rows.append((d.name, f"{d.value_a:.4g}", f"{d.value_b:.4g}",
                      ratio, flag))
     print(render_table(
@@ -670,13 +671,13 @@ def cmd_runs_diff(args) -> None:
         ("metric", "A", "B", "B/A", ""),
         rows,
     ))
-    flagged = regressions(deltas)
     if flagged:
         print(f"\n{len(flagged)} gain regression(s) past the "
               f"paper-shape threshold:")
-        for d in flagged:
-            print(f"  {d.name}: {d.value_a:.3f} -> {d.value_b:.3f} "
-                  f"({d.ratio:.0%} of A)")
+        for d in deltas:
+            if d.name in regressed:
+                print(f"  {d.name}: {d.value_a:.3f} -> {d.value_b:.3f} "
+                      f"({d.ratio:.0%} of A)")
         if args.fail_on_regression:
             raise SystemExit(1)
     else:

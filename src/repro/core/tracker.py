@@ -77,7 +77,7 @@ class StagingTracker:
         request = Packet(
             PacketType.STAGE_REQUEST,
             dst=vnf_address,
-            src=self._local_dag(),
+            src=self.host.local_dag(),
             payload={"chunks": chunk_entries},
             size_bytes=120 + 64 * len(chunk_entries),
             created_at=now,
@@ -94,10 +94,6 @@ class StagingTracker:
                 )
             )
         return len(chunk_entries)
-
-    def _local_dag(self) -> DagAddress:
-        nid = getattr(self.host, "current_nid", None)
-        return DagAddress.host(self.host.hid, nid)
 
     # -- incoming confirmations --------------------------------------------------
 

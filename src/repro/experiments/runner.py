@@ -1,9 +1,9 @@
 """Running one experiment: build scenario, run download, collect metrics.
 
-Pass ``instrument=True`` (or a ``trace_path``) to attach the
-cross-layer instrumentation for free: a
+Pass a ``trace_path`` (or ``gauges``/``audit``) to attach the
+cross-layer instrumentation: a
 :class:`~repro.metrics.collector.MetricsCollector` subscribed to the
-scenario simulator's event bus, and optionally a JSONL
+scenario simulator's event bus, and with ``trace_path`` a JSONL
 :class:`~repro.obs.trace.TraceExporter` whose output
 :func:`~repro.obs.trace.replay_trace` turns back into an identical
 metrics report offline.
@@ -11,6 +11,7 @@ metrics report offline.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import IO, Optional, Union
 
@@ -23,7 +24,6 @@ from repro.experiments.scenario import TestbedScenario
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.coverage import Coverage
 from repro.obs.flight import (
-    DEFAULT_PERIOD,
     GaugeSampler,
     InvariantAuditor,
     install_flight_recorder,
@@ -91,12 +91,10 @@ def run_download(
     with_vnf: bool = True,
     num_edges: int = 2,
     segment_scale: int = 1,
-    instrument: bool = False,
     trace_path: Optional[Union[str, IO[str]]] = None,
     profile: bool = False,
     gauges: bool = False,
     audit: bool = False,
-    gauge_period: float = DEFAULT_PERIOD,
     run_id: Optional[str] = None,
     policy: Optional[Union[str, StagingPolicy]] = None,
     hub: Optional[TelemetryHub] = None,
@@ -118,19 +116,19 @@ def run_download(
     ``"{system}-seed{seed}"`` run identity; a named policy extends it
     to ``"{system}-{policy}-seed{seed}"``.
 
-    ``instrument=True`` subscribes a :class:`MetricsCollector` to the
-    run's event bus and returns it on the result; ``trace_path``
-    additionally writes every event as JSONL (and implies
-    ``instrument=True``) — pass an open file object instead of a path
-    to append several runs into one multi-run trace.  ``profile=True``
-    installs a :class:`~repro.sim.profiler.SimProfiler` on the kernel.
+    ``trace_path``, ``gauges`` and ``audit`` each subscribe a
+    :class:`MetricsCollector` to the run's event bus and return it on
+    the result.  ``trace_path`` writes every event as JSONL — pass an
+    open file object instead of a path to append several runs into one
+    multi-run trace.  ``profile=True`` installs a
+    :class:`~repro.sim.profiler.SimProfiler` on the kernel.
 
     ``gauges=True`` installs the flight recorder (standard testbed
-    gauge set, sampled every ``gauge_period`` sim-seconds; implies
-    ``instrument=True`` so the timelines land in the collector).
-    ``audit=True`` attaches a strict :class:`InvariantAuditor` to the
-    bus and runs the end-of-run report-parity check (also implies
-    ``instrument=True``); the audited run raises
+    gauge set, sampled every
+    :data:`~repro.obs.flight.DEFAULT_PERIOD` sim-seconds; the
+    timelines land in the collector).  ``audit=True`` attaches a
+    strict :class:`InvariantAuditor` to the bus and runs the
+    end-of-run report-parity check; the audited run raises
     :class:`~repro.obs.flight.InvariantViolationError` at the first
     conservation violation.  Both are off by default and cost nothing
     when off.
@@ -197,50 +195,49 @@ def run_download(
             f"{system}-{pname}-seed{seed}" if pname else f"{system}-seed{seed}"
         )
     scenario.sim.probe.run_id = run_id
-    collector: Optional[MetricsCollector] = None
-    exporter: Optional[TraceExporter] = None
-    profiler: Optional[SimProfiler] = None
-    sampler: Optional[GaugeSampler] = None
-    auditor: Optional[InvariantAuditor] = None
-    wide_builder: Optional[WideEventBuilder] = None
-    wide_writer: Optional[WideEventWriter] = None
+    bus = scenario.sim.probe.bus
+    collector = exporter = profiler = auditor = recorder = sampler = None
+    wide_builder = wide_writer = wide_records = None
     owns_wide_writer = False
-    gauge_feed: Optional[GaugeFeed] = None
-    wide_records: Optional[list[dict]] = None
-    recorder: Optional[SketchRecorder] = None
-    if instrument or trace_path is not None or gauges or audit:
-        collector = MetricsCollector(scenario.sim).attach(scenario.sim.probe.bus)
+    # Each sink registers its undo as it is created; leaving the block
+    # (normally or by an exception) detaches them, newest first.
+    with contextlib.ExitStack() as undo:
+        if trace_path is not None or gauges or audit:
+            collector = MetricsCollector(scenario.sim).attach(bus)
         if trace_path is not None:
-            exporter = TraceExporter(trace_path).attach(scenario.sim.probe.bus)
-    if profile:
-        profiler = SimProfiler(scenario.sim).install()
-    if audit:
-        auditor = InvariantAuditor(strict=True).attach(scenario.sim.probe.bus)
-    if sketches:
-        recorder = SketchRecorder().attach(scenario.sim.probe.bus)
-    if wide is not None or hub is not None or sketches:
-        wide_records = []
-        sinks = [wide_records.append]
-        if recorder is not None:
-            sinks.append(recorder.feed_wide)
-        if wide is not None:
-            if isinstance(wide, WideEventWriter):
-                wide_writer = wide
-            else:
-                wide_writer = WideEventWriter(wide)
-                owns_wide_writer = wide_writer.path is not None
-            sinks.append(wide_writer.write)
+            exporter = TraceExporter(trace_path).attach(bus)
+            undo.callback(exporter.close)
+        if profile:
+            profiler = SimProfiler(scenario.sim).install()
+            undo.callback(profiler.uninstall)
+        if audit:
+            auditor = InvariantAuditor(strict=True).attach(bus)
+            undo.callback(auditor.detach)
+        if sketches:
+            recorder = SketchRecorder().attach(bus)
+            undo.callback(recorder.detach)
+        if wide is not None or hub is not None or sketches:
+            wide_records = []
+            sinks = [wide_records.append]
+            if recorder is not None:
+                sinks.append(recorder.feed_wide)
+            if wide is not None:
+                if isinstance(wide, WideEventWriter):
+                    wide_writer = wide
+                else:
+                    wide_writer = WideEventWriter(wide)
+                    owns_wide_writer = wide_writer.path is not None
+                sinks.append(wide_writer.write)
+            if hub is not None:
+                sinks.append(lambda record: hub.publish("wide", record))
+            wide_builder = WideEventBuilder(run_id=run_id, sinks=sinks)
+            undo.callback(wide_builder.attach(bus).detach)
         if hub is not None:
-            sinks.append(lambda record: hub.publish("wide", record))
-        wide_builder = WideEventBuilder(run_id=run_id, sinks=sinks)
-        wide_builder.attach(scenario.sim.probe.bus)
-    if hub is not None:
-        gauge_feed = GaugeFeed(hub).attach(scenario.sim.probe.bus)
-        hub.publish("run", {
-            "run": run_id, "state": "started",
-            "system": system, "policy": pname, "seed": seed,
-        })
-    try:
+            undo.callback(GaugeFeed(hub).attach(bus).detach)
+            hub.publish("run", {
+                "run": run_id, "state": "started",
+                "system": system, "policy": pname, "seed": seed,
+            })
         content = scenario.publish_default_content()
         if system == "softstage":
             client = scenario.make_softstage_client(
@@ -257,9 +254,7 @@ def run_download(
             # The staging-pipeline gauges need the manager, which only
             # exists for a SoftStage client.
             sampler = install_flight_recorder(
-                scenario,
-                manager=getattr(client, "manager", None),
-                period=gauge_period,
+                scenario, manager=getattr(client, "manager", None),
             )
         if system == "endtoend":
             if deadline is not None:
@@ -273,19 +268,6 @@ def run_download(
                 client.download(content, deadline=deadline)
             )
         download: DownloadResult = scenario.sim.run(until=process)
-    finally:
-        if exporter is not None:
-            exporter.close()
-        if profiler is not None:
-            profiler.uninstall()
-        if auditor is not None:
-            auditor.detach()
-        if gauge_feed is not None:
-            gauge_feed.detach()
-        if wide_builder is not None:
-            wide_builder.detach()
-        if recorder is not None:
-            recorder.detach()
     if wide_builder is not None:
         # Emit the run-summary wide record (post-run, like the live
         # trace's last events) before anything reads the output.

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.net.link import Port
 from repro.net.processing import ProcessingModel
 from repro.sim import Simulator
+from repro.xia.dag import DagAddress
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.xia.ids import XID
@@ -95,6 +96,9 @@ class Host(Device):
         self._session_handlers: dict[int, Callable[["Packet", Port], None]] = {}
         self._type_handlers: dict["PacketType", Callable[["Packet", Port], None]] = {}
         self._active_port_index = 0
+        # local_dag's memo: the NID the address was built from, and it.
+        self._dag_nid: Optional["XID"] = None
+        self._dag: Optional[DagAddress] = None
         self.dropped_unhandled = 0
         self.dropped_misaddressed = 0
 
@@ -120,6 +124,18 @@ class Host(Device):
         if not port.is_up:
             return None
         return self.port_nids.get(port)
+
+    def local_dag(self) -> DagAddress:
+        """This host's address ``NID : HID`` on its current attachment.
+
+        Rebuilt only when :attr:`current_nid` changes, so every packet
+        sent from one attachment carries the same address object.
+        """
+        nid = self.current_nid
+        if self._dag is None or nid != self._dag_nid:
+            self._dag = DagAddress.host(self.hid, nid)
+            self._dag_nid = nid
+        return self._dag
 
     def send(self, packet: "Packet", port: Optional[Port] = None) -> None:
         """Transmit on ``port`` (default: the data interface)."""
@@ -156,9 +172,6 @@ class Host(Device):
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
         packet.hop_count += 1
-        trace = packet.trace
-        if trace is not None:
-            trace.append(self.name)
         if not self._addressed_to_me(packet):
             self.dropped_misaddressed += 1
             return

@@ -5,8 +5,8 @@ by default, ``REPRO_RUNS_DIR`` overrides the directory) where demos,
 sweeps and benches deposit a summary record — run identity, git SHA,
 machine fingerprint (shared with :mod:`repro.perf`), headline metrics
 and (when the flight recorder ran) the sampled gauge timelines.  The
-``python -m repro runs`` CLI lists, renders and diffs records, flagging
-paper-shape regressions (Fig. 6/7 gain ratios) between any two runs.
+``python -m repro runs`` CLI lists, renders and diffs records; the
+diff's paper-shape verdict is an SLO judged by :mod:`repro.obs.slo`.
 
 Record schema (one JSON object per line)::
 
@@ -41,10 +41,6 @@ from repro import perf
 #: Default registry directory (override with ``REPRO_RUNS_DIR``).
 DEFAULT_DIR = ".repro_runs"
 REGISTRY_FILE = "registry.jsonl"
-
-#: Relative drop in a ``gain``-family metric that counts as a
-#: paper-shape regression in :func:`diff_records`.
-GAIN_REGRESSION_THRESHOLD = 0.15
 
 _git_sha_cache: Optional[str] = None
 
@@ -264,48 +260,28 @@ class MetricDelta:
     value_b: float
     #: B relative to A (``None`` when A is zero).
     ratio: Optional[float]
-    #: True when this is a gain-family metric that regressed past the
-    #: paper-shape threshold.
-    regression: bool
 
 
-def diff_records(
-    a: RunRecord,
-    b: RunRecord,
-    gain_threshold: float = GAIN_REGRESSION_THRESHOLD,
-) -> list[MetricDelta]:
+def diff_records(a: RunRecord, b: RunRecord) -> list[MetricDelta]:
     """Compare the numeric metrics two records share, A → B.
 
-    Metrics whose name contains ``gain`` carry the paper's headline
-    shape (Fig. 6/7 Xftp-over-SoftStage ratios): when B falls more
-    than ``gain_threshold`` below A, the delta is flagged as a
-    regression.  Everything else is informational.
+    Only deltas and B/A ratios: :func:`repro.obs.slo.judge_diff`
+    decides which of them break the paper shape.
     """
     deltas: list[MetricDelta] = []
     for name in sorted(set(a.metrics) & set(b.metrics)):
         va, vb = a.metrics[name], b.metrics[name]
         if not isinstance(va, (int, float)) or not isinstance(vb, (int, float)):
             continue
-        ratio = vb / va if va else None
-        regression = (
-            "gain" in name
-            and ratio is not None
-            and ratio < 1.0 - gain_threshold
-        )
         deltas.append(
             MetricDelta(
                 name=name,
                 value_a=float(va),
                 value_b=float(vb),
-                ratio=ratio,
-                regression=regression,
+                ratio=vb / va if va else None,
             )
         )
     return deltas
-
-
-def regressions(deltas: list[MetricDelta]) -> list[MetricDelta]:
-    return [delta for delta in deltas if delta.regression]
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +315,6 @@ def list_payload(registry: "RunRegistry") -> dict:
     return {
         "registry": registry.path,
         "records": [record_summary(r) for r in registry.records()],
-    }
-
-
-def diff_payload(
-    a: RunRecord,
-    b: RunRecord,
-    deltas: Optional[list[MetricDelta]] = None,
-) -> dict:
-    """The diff in JSON shape, regressions called out separately.
-
-    Shared by ``repro runs diff --json`` and ``GET /diff`` so the CI
-    regression gate and the CLI agree byte-for-byte on what regressed.
-    """
-    if deltas is None:
-        deltas = diff_records(a, b)
-    return {
-        "a": a.rec_id,
-        "b": b.rec_id,
-        "deltas": [
-            {
-                "name": d.name,
-                "a": d.value_a,
-                "b": d.value_b,
-                "ratio": d.ratio,
-                "regression": d.regression,
-            }
-            for d in deltas
-        ],
-        "regressions": [d.name for d in deltas if d.regression],
     }
 
 

@@ -29,9 +29,11 @@ Endpoints (all GET, all JSON unless noted):
     as ``repro runs why --json``).  Needs both runs' wide events in
     the wide-event directory.
 ``/diff?a=<key>&b=<key>[&threshold=<frac>]``
-    Metric diff between two records
-    (:func:`repro.obs.registry.diff_payload`).  Responds **409** when
-    a gain-family metric regressed past the paper-shape threshold, so
+    Metric diff between two records, judged by the SLO engine
+    (:func:`repro.obs.slo.judge_diff`, serialized by
+    :func:`repro.obs.slo.diff_payload`).  ``threshold`` is the largest
+    relative gain drop allowed.  Responds **409** when a gain-family
+    metric fell below ``1 - threshold`` of its baseline, so
     ``curl -f`` (and therefore CI) fails exactly when the paper shape
     broke; 200 otherwise.
 ``/slo[?run=<key>&...][&slo=<spec>&...]``
@@ -73,17 +75,14 @@ from repro.obs.explain import (
     load_wide_for_run,
     why_payload,
 )
-from repro.obs.registry import (
-    GAIN_REGRESSION_THRESHOLD,
-    RunRegistry,
-    diff_payload,
-    diff_records,
-    list_payload,
-)
+from repro.obs.registry import RunRegistry, diff_records, list_payload
 from repro.obs.slo import (
     DEFAULT_SLOS,
+    GAIN_DROP,
     check_payload,
+    diff_payload,
     evaluate_record,
+    judge_diff,
     parse_slos,
     violations,
 )
@@ -292,18 +291,18 @@ class TelemetryRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"no registry record matches {missing!r}")
             return
         try:
-            threshold = float(
-                query.get("threshold", [GAIN_REGRESSION_THRESHOLD])[0]
-            )
+            drop = float(query.get("threshold", [GAIN_DROP])[0])
         except ValueError:
             self._error(400, "threshold must be a number")
             return
-        deltas = diff_records(record_a, record_b, gain_threshold=threshold)
-        payload = diff_payload(record_a, record_b, deltas)
+        deltas = diff_records(record_a, record_b)
+        flagged = violations(judge_diff(deltas, drop=drop))
         # Non-2xx on paper-shape regression: `curl -f $URL/diff?...`
         # is the whole CI gate.
-        status = 409 if payload["regressions"] else 200
-        self._send_json(payload, status=status)
+        self._send_json(
+            diff_payload(record_a, record_b, deltas, flagged),
+            status=409 if flagged else 200,
+        )
 
     def _slo(self, query: dict) -> None:
         specs = [s for s in query.get("slo", []) if s.strip()]

@@ -11,7 +11,9 @@ written as a one-line spec and evaluated two ways:
 ``GET /slo``)
     against :class:`~repro.obs.registry.RunRecord` metrics, the
     record's serialized :mod:`~repro.obs.sketch` set, and/or a run's
-    wide-event records;
+    wide-event records — and, through :func:`judge_diff`
+    (``repro runs diff``, ``GET /diff``), against the B/A ratios of
+    two records;
 
 **live** (:class:`LiveSLOEvaluator`)
     as a :class:`~repro.obs.stream.TelemetryHub` subscriber folding
@@ -306,6 +308,56 @@ def evaluate_record(
 
 def violations(results: Iterable[SLOResult]) -> list[SLOResult]:
     return [r for r in results if r.ok is False]
+
+
+# ---------------------------------------------------------------------------
+# Registry diffs: the paper-shape gate between two records
+# ---------------------------------------------------------------------------
+
+
+#: Largest relative drop, B against A, a ``gain``-family metric may take
+#: before a registry diff violates the paper shape.
+GAIN_DROP = 0.15
+
+
+def judge_diff(deltas, drop: float = GAIN_DROP) -> list[SLOResult]:
+    """Judge a :func:`~repro.obs.registry.diff_records` result.
+
+    Each shared gain-family metric (Fig. 6/7 Xftp-over-SoftStage
+    ratios) gets the objective ``<name> >= 1 - drop``, judged against
+    the record of B/A ratios.  A zero baseline has no ratio, so its
+    objective has no data and no verdict.
+    """
+    slos = [
+        SLO(metric=d.name, agg="value", op=">=", threshold=1.0 - drop)
+        for d in deltas if "gain" in d.name
+    ]
+    ratios = {d.name: d.ratio for d in deltas if d.ratio is not None}
+    return evaluate_slos(slos, metrics=ratios)
+
+
+def diff_payload(a, b, deltas, results: list[SLOResult]) -> dict:
+    """The judged diff in JSON shape, regressions called out separately.
+
+    Shared by ``repro runs diff --json`` and ``GET /diff`` so the CI
+    regression gate and the CLI agree byte-for-byte on what regressed.
+    """
+    regressed = [r.slo.metric for r in violations(results)]
+    return {
+        "a": a.rec_id,
+        "b": b.rec_id,
+        "deltas": [
+            {
+                "name": d.name,
+                "a": d.value_a,
+                "b": d.value_b,
+                "ratio": d.ratio,
+                "regression": d.name in regressed,
+            }
+            for d in deltas
+        ],
+        "regressions": regressed,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""Shared resources: capacity-limited resources, stores, containers.
+"""Shared resources: capacity-limited resources.
 
 These follow the SimPy idioms: ``request()``/``release()`` pairs return
-events a process yields on, and ``with`` blocks are supported for
-resources.
+events a process yields on, and ``with`` blocks are supported.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Deque, Optional
 
-from repro.sim.core import Event, PENDING, SimulationError, Simulator
+from repro.sim.core import Event, PENDING, Simulator
 
 
 class _Request(Event):
@@ -116,139 +115,3 @@ class Resource:
             self._waiting.remove(request)
         except ValueError:
             pass
-
-
-class Store:
-    """An unbounded-or-bounded FIFO queue of Python objects."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[tuple[Event, Optional[Callable[[Any], bool]]]] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    @property
-    def items(self) -> list[Any]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Add ``item``; the returned event fires once it is stored."""
-        event = Event(self.sim, name="store-put")
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        """Remove and return the first item (matching ``predicate``)."""
-        event = Event(self.sim, name="store-get")
-        item = self._pop_matching(predicate)
-        if item is not _NOTHING:
-            event.succeed(item)
-            self._serve_putters()
-        else:
-            self._getters.append((event, predicate))
-        return event
-
-    def _pop_matching(self, predicate):
-        if predicate is None:
-            if self._items:
-                return self._items.popleft()
-            return _NOTHING
-        for index, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[index]
-                return item
-        return _NOTHING
-
-    def _serve_getters(self) -> None:
-        served = True
-        while served and self._getters:
-            served = False
-            for index, (event, predicate) in enumerate(self._getters):
-                item = self._pop_matching(predicate)
-                if item is not _NOTHING:
-                    del self._getters[index]
-                    event.succeed(item)
-                    served = True
-                    break
-
-    def _serve_putters(self) -> None:
-        while self._putters and len(self._items) < self.capacity:
-            event, item = self._putters.popleft()
-            self._items.append(item)
-            event.succeed()
-        if self._putters:
-            return
-        self._serve_getters()
-
-
-_NOTHING = object()
-
-
-class Container:
-    """A continuous quantity (e.g. bytes of buffer) with put/get."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        initial: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= initial <= capacity:
-            raise ValueError("initial level must lie within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(initial)
-        self._getters: Deque[tuple[Event, float]] = deque()
-        self._putters: Deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim, name="container-put")
-        self._putters.append((event, amount))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim, name="container-get")
-        self._getters.append((event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    event.succeed()
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    event.succeed(amount)
-                    progressed = True

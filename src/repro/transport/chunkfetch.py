@@ -146,13 +146,10 @@ class ChunkFetcher:
         local_dag: Optional[DagAddress],
     ) -> None:
         host = self.endpoint.host
-        if local_dag is None:
-            nid = getattr(host, "nid", None) or getattr(host, "current_nid", None)
-            local_dag = DagAddress.host(host.hid, nid)
         request = Packet.acquire(
             PacketType.CHUNK_REQUEST,
             dst=address,
-            src=local_dag,
+            src=host.local_dag() if local_dag is None else local_dag,
             payload={"session": session_id},
             size_bytes=self.config.ack_bytes + 40,
             created_at=self.sim.now,
@@ -212,7 +209,7 @@ class CacheDaemon:
         sender = self.endpoint.start_send(
             session_id,
             dst=packet.src,
-            src=self._local_dag(),
+            src=self.node.local_dag(),
             total_bytes=chunk.size_bytes,
             meta={
                 "chunk": chunk,
@@ -230,6 +227,3 @@ class CacheDaemon:
             if self.unpin_on_serve:
                 self.store.unpin(cid)
         packet.release()
-
-    def _local_dag(self) -> DagAddress:
-        return DagAddress.host(self.node.hid, self.nid)

@@ -31,7 +31,6 @@ from repro.xia.packet import Packet, PacketType
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Port
     from repro.net.nodes import Host
-    from repro.xia.ids import XID
 
 _session_ids = itertools.count(1)
 
@@ -455,9 +454,6 @@ class ReceiverSession:
         self._since_ack = 0
         self.peer_dag: Optional[DagAddress] = None
         self.first_data_meta: Optional[dict[str, Any]] = None
-        # _local_dag's memo: the NID the address was built from, and it.
-        self._dag_nid: Optional["XID"] = None
-        self._dag: Optional[DagAddress] = None
         #: Fires on the first DATA packet (stops request retries).
         self.started: Event = self.sim.event(name=f"recv-start-{session_id}")
         #: Fires when the transfer completes, with this session.
@@ -528,22 +524,13 @@ class ReceiverSession:
         ack = Packet.acquire(
             PacketType.ACK,
             dst=self.peer_dag,
-            src=self._local_dag(),
+            src=self.endpoint.host.local_dag(),
             payload={"ack": self.highest_inorder},
             size_bytes=self.config.ack_bytes,
             session_id=self.session_id,
             created_at=self.sim.now,
         )
         self.endpoint.host.send(ack)
-
-    def _local_dag(self) -> DagAddress:
-        """This host's address, rebuilt only when its attachment changes."""
-        host = self.endpoint.host
-        nid = getattr(host, "current_nid", None) or getattr(host, "nid", None)
-        if self._dag is None or nid != self._dag_nid:
-            self._dag = DagAddress.host(host.hid, nid)
-            self._dag_nid = nid
-        return self._dag
 
     # -- migration -------------------------------------------------------------
 

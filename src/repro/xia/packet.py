@@ -37,21 +37,6 @@ XIA_HEADER_BYTES = 64
 
 _packet_ids = itertools.count(1)
 
-#: When True, packets record the name of every device they traverse in
-#: ``packet.trace`` — invaluable in tests, too slow for big sweeps.
-#: Read at packet *creation*: the per-hop path only tests whether the
-#: packet carries a trace list, so the flag check is hoisted out of
-#: the forwarding loop while toggles after import are still honored
-#: for every packet created afterwards.
-TRACE_PACKETS = False
-
-
-def set_trace_packets(enabled: bool) -> None:
-    """Toggle per-packet traversal tracing for packets created next."""
-    global TRACE_PACKETS
-    TRACE_PACKETS = bool(enabled)
-
-
 class PacketType(enum.Enum):
     """Packet kinds used by the transports and the control plane."""
 
@@ -177,7 +162,6 @@ class Packet:
         "visited_mask",
         "hop_count",
         "created_at",
-        "trace",
         "_pooled",
         "_released",
     )
@@ -208,9 +192,6 @@ class Packet:
         self.visited_mask = 0
         self.hop_count = 0
         self.created_at = created_at
-        #: Node names traversed (``None`` unless TRACE_PACKETS was set
-        #: when the packet was created).
-        self.trace: Optional[list[str]] = [] if TRACE_PACKETS else None
         self._pooled = False
         self._released = False
 
@@ -252,7 +233,6 @@ class Packet:
             packet.visited_mask = 0
             packet.hop_count = 0
             packet.created_at = created_at
-            packet.trace = [] if TRACE_PACKETS else None
             packet._released = False
             return packet
         pool_allocs += 1
@@ -289,7 +269,6 @@ class Packet:
             self.payload = _POISON
             self.session_id = _POISON
             self.seq = _POISON
-            self.trace = None
             return
         if POOL_DISABLED or len(_pool) >= POOL_LIMIT:
             return
@@ -298,7 +277,6 @@ class Packet:
         self.dst = None  # type: ignore[assignment]
         self.src = None  # type: ignore[assignment]
         self.payload = None
-        self.trace = None
         _pool.append(self)
 
     # -- visited-set shims ---------------------------------------------------

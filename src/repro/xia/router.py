@@ -211,13 +211,15 @@ class XIARouter(Host):
                     return out
         return None
 
+    @property
+    def current_nid(self) -> XID:
+        """A router is always addressed in its own network."""
+        return self.nid
+
     # -- forwarding ------------------------------------------------------------
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
         packet.hop_count += 1
-        trace = packet.trace
-        if trace is not None:
-            trace.append(self.name)
 
         dst = packet.dst
         mask = packet.visited_mask
@@ -328,9 +330,6 @@ class AccessPoint(Host):
         self.bridged_packets = 0
 
     def handle_packet(self, packet: "Packet", port: Port) -> None:
-        trace = packet.trace
-        if trace is not None:
-            trace.append(self.name)
         for other in self.ports:
             if other is not port:
                 if other.is_up:

@@ -145,7 +145,9 @@ def test_xftp_run_records_gauges_without_staging_pipeline():
 
 
 def test_gauges_off_means_no_sampler_and_no_gauge_series():
-    result = run_download("softstage", params=PARAMS, seed=0, instrument=True)
+    result = run_download(
+        "softstage", params=PARAMS, seed=0, trace_path=io.StringIO()
+    )
     assert result.sampler is None
     assert result.metrics.series_names("gauge.") == []
 

@@ -6,13 +6,12 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs.registry import (
-    GAIN_REGRESSION_THRESHOLD,
     RunRecord,
     RunRegistry,
     diff_records,
     record_from_result,
-    regressions,
 )
+from repro.obs.slo import GAIN_DROP, judge_diff, violations
 
 
 @pytest.fixture
@@ -123,11 +122,13 @@ def test_diff_flags_an_injected_fig6_gain_regression():
     regressed = _record("b", {"gain.3s": 1.54, "gain.12s": 1.10,
                               "download_time": 41.0})
     deltas = diff_records(baseline, regressed)
-    flagged = regressions(deltas)
-    assert [d.name for d in flagged] == ["gain.12s"]
-    assert flagged[0].ratio < 1.0 - GAIN_REGRESSION_THRESHOLD
-    # Non-gain metrics never flag, and a small gain wobble doesn't.
-    assert all(d.name == "gain.12s" for d in flagged)
+    flagged = violations(judge_diff(deltas))
+    assert [r.slo.metric for r in flagged] == ["gain.12s"]
+    assert flagged[0].value < 1.0 - GAIN_DROP
+    # Non-gain metrics are never judged, and a small gain wobble passes.
+    assert {r.slo.metric for r in judge_diff(deltas)} == {
+        "gain.3s", "gain.12s",
+    }
 
 
 def test_diff_ignores_non_numeric_and_unshared_metrics():
@@ -135,14 +136,15 @@ def test_diff_ignores_non_numeric_and_unshared_metrics():
     b = _record("b", {"gain": 1.7, "only_b": 2.0, "label": "y"})
     deltas = diff_records(a, b)
     assert [d.name for d in deltas] == ["gain"]
-    assert not regressions(deltas)
+    assert not violations(judge_diff(deltas))
 
 
 def test_diff_handles_zero_baseline():
     deltas = diff_records(_record("a", {"gain": 0.0}),
                           _record("b", {"gain": 1.0}))
     assert deltas[0].ratio is None
-    assert not deltas[0].regression
+    (result,) = judge_diff(deltas)
+    assert result.ok is None and result.status == "no-data"
 
 
 def test_record_from_result_strips_gauge_prefix():

@@ -1,14 +1,20 @@
 """The HTTP telemetry service: registry endpoints, /diff gate, SSE."""
 
+import contextlib
+import io
+import itertools
 import json
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.__main__ import main
 from repro.obs.registry import RunRegistry, list_payload
 from repro.obs.server import make_server, sse_format
+from repro.obs.slo import GAIN_DROP, SLO, evaluate_slos, violations
 from repro.obs.stream import TelemetryHub
 from repro.obs.wide import WideEventWriter
 
@@ -127,6 +133,60 @@ def test_diff_validates_its_query(service):
     assert _get(
         server, "/diff?a=softstage-seed0&b=xftp-seed0&threshold=x"
     )[0] == 400
+
+
+_GAINS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+
+
+def test_every_diff_gate_surface_applies_the_ratio_rule(tmp_path):
+    """``runs diff --json``, ``GET /diff`` and the SLO engine on the
+    ratio record all flag exactly when ``b / a < 1 - drop`` (a zero
+    baseline never flags).  The CLI has no threshold flag, so it is
+    checked at the default drop."""
+    registry = RunRegistry(str(tmp_path))
+    server = make_server(port=0, registry=registry)
+    server.serve_background()
+    ids = itertools.count()
+
+    def flagged(a, b, drop):
+        return a != 0 and b / a < 1.0 - drop
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=_GAINS, b=_GAINS, drop=st.floats(min_value=0.0, max_value=1.0))
+    def check(a, b, drop):
+        n = next(ids)
+        key_a = registry.append(f"base{n}", "demo", {"gain": a}).rec_id
+        key_b = registry.append(f"cand{n}", "demo", {"gain": b}).rec_id
+
+        slo = SLO(metric="gain", agg="value", op=">=", threshold=1.0 - drop)
+        ratios = {"gain": b / a} if a else {}
+        assert bool(violations(evaluate_slos([slo], metrics=ratios))) \
+            == flagged(a, b, drop)
+
+        status, payload = _get(
+            server, f"/diff?a={key_a}&b={key_b}&threshold={drop!r}"
+        )
+        assert status == (409 if flagged(a, b, drop) else 200)
+        assert payload["regressions"] == (
+            ["gain"] if flagged(a, b, drop) else []
+        )
+
+        status, payload = _get(server, f"/diff?a={key_a}&b={key_b}")
+        assert status == (409 if flagged(a, b, GAIN_DROP) else 200)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["runs", "--registry-dir", str(tmp_path), "diff",
+                         key_a, key_b, "--json"]) == 0
+        assert json.loads(out.getvalue()) == payload
+
+    try:
+        check()
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 # ---------------------------------------------------------------------------
