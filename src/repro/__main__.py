@@ -66,15 +66,16 @@ def _policy_arg(name):
 def _demo_pair(
     file_mb, seed, policy,
     trace=None, gauges=False, audit=False,
-    hub=None, wide=None, sketches=False,
+    hub=None, wide=None,
 ):
     """Run the demo's Xftp + SoftStage pair with shared telemetry sinks.
 
     ``trace`` (a path) and ``wide`` (an open
     :class:`~repro.obs.wide.WideEventWriter`) are shared across both
     runs, producing one multi-run file each; ``hub`` receives both
-    runs' live telemetry.  Used by ``demo`` (foreground and --live)
-    and ``serve --demo``.
+    runs' live telemetry.  With ``gauges`` each result also keeps its
+    wide records, whose phase columns the registry record stores.
+    Used by ``demo`` (foreground and --live) and ``serve --demo``.
     """
     params = MicrobenchParams(file_size=int(file_mb * MB))
     trace_fh = open(trace, "w", encoding="utf-8") if trace else None
@@ -83,13 +84,13 @@ def _demo_pair(
             "xftp", params=params, seed=seed,
             trace_path=trace_fh,
             gauges=gauges, audit=audit, hub=hub, wide=wide,
-            sketches=sketches,
+            sketches=gauges,
         )
         softstage = run_download(
             "softstage", params=params, seed=seed,
             trace_path=trace_fh,
             gauges=gauges, audit=audit, hub=hub, wide=wide,
-            policy=policy, sketches=sketches,
+            policy=policy, sketches=gauges,
         )
     finally:
         if trace_fh is not None:
@@ -145,7 +146,6 @@ def cmd_demo(args) -> None:
                         trace=args.trace,
                         gauges=gauges, audit=args.audit,
                         hub=hub, wide=wide_writer,
-                        sketches=args.gauges,
                     )
                 except BaseException as exc:  # repaint loop must end
                     outcome["error"] = exc
@@ -167,7 +167,7 @@ def cmd_demo(args) -> None:
                 args.file_mb, args.seed, policy,
                 trace=args.trace,
                 gauges=gauges, audit=args.audit,
-                wide=wide_writer, sketches=args.gauges,
+                wide=wide_writer,
             )
     finally:
         if wide_writer is not None:
@@ -196,20 +196,15 @@ def cmd_demo(args) -> None:
         print(f"\n{wide_writer.records_written} wide events written to "
               f"{wide_writer.path}")
     if args.gauges:
-        from repro.obs.registry import (
-            RunRegistry,
-            record_from_result,
-            sketches_from_result,
-        )
+        from repro.obs.registry import RunRegistry, record_from_result
 
         registry = RunRegistry(args.registry_dir)
         meta = {"file_mb": args.file_mb, "seed": args.seed}
         for result in (xftp, softstage):
-            run_id, metrics, gauge_tl = record_from_result(result)
+            run_id, metrics, gauge_tl, phases = record_from_result(result)
             registry.append(
                 run_id, "demo", metrics, gauge_tl, meta,
-                policy=result.policy,
-                sketches=sketches_from_result(result),
+                policy=result.policy, phases=phases,
             )
         gain_id = (f"demo-{policy}-seed{args.seed}" if policy
                    else f"demo-seed{args.seed}")

@@ -28,11 +28,10 @@ in either mode.
 
 from __future__ import annotations
 
-import statistics
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.params import MicrobenchParams
 
@@ -48,10 +47,6 @@ class SweepTask:
     #: Staging-policy registry name ("" / None = system default).
     #: A name rather than a policy object keeps the task picklable.
     policy: Optional[str] = None
-    #: Fold this run's telemetry into fixed-memory sketches
-    #: (:mod:`repro.obs.sketch`); they come back serialized on the
-    #: summary and merge across the whole sweep.
-    sketches: bool = False
 
     def label(self) -> str:
         if self.policy:
@@ -81,11 +76,6 @@ class RunSummary:
     staging_signals: int
     policy: str = ""
     wall_seconds: float = field(compare=False, default=0.0)
-    #: Serialized sketch set (``SweepTask.sketches=True``), JSON-shaped
-    #: so the summary stays picklable.  Excluded from equality like
-    #: ``wall_seconds``: the sketches are *derived* telemetry, and the
-    #: determinism contract is over simulation outcomes.
-    sketches: Optional[dict] = field(compare=False, default=None)
 
     def as_record(self) -> tuple[str, dict]:
         """``(run_id, metrics)`` in run-registry shape.
@@ -123,7 +113,6 @@ def execute_task(task: SweepTask) -> RunSummary:
         seed=task.seed,
         segment_scale=task.segment_scale,
         policy=task.policy or None,
-        sketches=task.sketches,
     )
     download = result.download
     return RunSummary(
@@ -139,10 +128,6 @@ def execute_task(task: SweepTask) -> RunSummary:
         staging_signals=download.staging_signals,
         policy=result.policy,
         wall_seconds=time.perf_counter() - started,
-        sketches=(
-            result.sketches.to_json() if result.sketches is not None
-            else None
-        ),
     )
 
 
@@ -208,36 +193,3 @@ def run_tasks(
         already = len(summaries)
         return _collect(execute_task(task) for task in tasks[already:])
 
-
-def merge_summary_sketches(summaries: Iterable[RunSummary]) -> dict:
-    """One sketch set folding every summary's sketches together.
-
-    Workers fold their own runs into bounded sketches; the parent
-    merges the serialized sets name-wise (mergeability is the
-    sketches' contract — see :mod:`repro.obs.sketch`), producing a
-    sweep-wide distribution summary whose size is independent of the
-    number of runs.  Returns the *serialized* merged set.
-    """
-    from repro.obs.sketch import (
-        load_sketches,
-        merge_sketch_sets,
-        serialize_sketches,
-    )
-
-    merged: dict = {}
-    for summary in summaries:
-        if summary.sketches:
-            merge_sketch_sets(merged, load_sketches(summary.sketches))
-    return serialize_sketches(merged)
-
-
-def mean_times(
-    summaries: Iterable[RunSummary],
-) -> tuple[Optional[float], Optional[float]]:
-    """(mean xftp, mean softstage) download time over ``summaries``."""
-    xftp = [s.download_time for s in summaries if s.system == "xftp"]
-    soft = [s.download_time for s in summaries if s.system == "softstage"]
-    return (
-        statistics.mean(xftp) if xftp else None,
-        statistics.mean(soft) if soft else None,
-    )

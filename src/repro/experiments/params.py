@@ -94,7 +94,3 @@ CHUNK_SIZE_LADDER: dict[str, int] = {
     "1440p": 4 * MB,
     "2160p": 10 * MB,
 }
-
-
-def default_params() -> MicrobenchParams:
-    return MicrobenchParams()

@@ -28,7 +28,6 @@ from repro.obs.flight import (
     InvariantAuditor,
     install_flight_recorder,
 )
-from repro.obs.sketch import SketchRecorder
 from repro.obs.stream import GaugeFeed, TelemetryHub
 from repro.obs.trace import TraceExporter
 from repro.obs.wide import WideEventBuilder, WideEventWriter
@@ -62,9 +61,6 @@ class ExperimentResult:
     #: Wide-event records emitted live (``wide=``/``hub=``/``sketches=``
     #: set).
     wide_records: Optional[list[dict]] = field(default=None, repr=False)
-    #: Fixed-memory distribution sketches folded live
-    #: (``sketches=True``); ``.to_json()`` serializes for the registry.
-    sketches: Optional[SketchRecorder] = field(default=None, repr=False)
 
     @property
     def throughput_bps(self) -> float:
@@ -88,8 +84,6 @@ def run_download(
     coverage: Optional[Coverage] = None,
     deadline: Optional[float] = None,
     handoff_policy: Optional[HandoffPolicy] = None,
-    with_vnf: bool = True,
-    num_edges: int = 2,
     segment_scale: int = 1,
     trace_path: Optional[Union[str, IO[str]]] = None,
     profile: bool = False,
@@ -137,12 +131,10 @@ def run_download(
     a :class:`~repro.obs.wide.WideEventBuilder` and writes one wide
     event per chunk/encounter/gap/handoff as JSONL — byte-identical to
     what ``repro trace wide`` derives from this run's trace offline.
-    ``sketches=True`` attaches a
-    :class:`~repro.obs.sketch.SketchRecorder`: gauge samples (when
-    ``gauges=True``) and wide-event phase latencies fold into
-    fixed-memory mergeable sketches returned on the result — the
-    bounded fleet-scale alternative to full gauge timelines.  Implies
-    a wide-event builder so the phase sketches always populate.
+    ``sketches=True`` only attaches the wide-event builder, so
+    ``result.wide_records`` holds the run's records even with no
+    ``wide`` sink: a registry record builds its ``phases`` columns
+    from them.
 
     ``hub`` fans the run's live telemetry out to a
     :class:`~repro.obs.stream.TelemetryHub`: gauge samples (when
@@ -177,9 +169,7 @@ def run_download(
     scenario = TestbedScenario(
         params=params,
         seed=seed,
-        num_edges=num_edges,
         coverage=coverage,
-        with_vnf=with_vnf,
         transport_config=XIA_CHUNK.scaled(segment_scale),
     )
     staging_policy: Optional[StagingPolicy] = None
@@ -196,7 +186,7 @@ def run_download(
         )
     scenario.sim.probe.run_id = run_id
     bus = scenario.sim.probe.bus
-    collector = exporter = profiler = auditor = recorder = sampler = None
+    collector = exporter = profiler = auditor = sampler = None
     wide_builder = wide_writer = wide_records = None
     owns_wide_writer = False
     # Each sink registers its undo as it is created; leaving the block
@@ -213,14 +203,9 @@ def run_download(
         if audit:
             auditor = InvariantAuditor(strict=True).attach(bus)
             undo.callback(auditor.detach)
-        if sketches:
-            recorder = SketchRecorder().attach(bus)
-            undo.callback(recorder.detach)
         if wide is not None or hub is not None or sketches:
             wide_records = []
             sinks = [wide_records.append]
-            if recorder is not None:
-                sinks.append(recorder.feed_wide)
             if wide is not None:
                 if isinstance(wide, WideEventWriter):
                     wide_writer = wide
@@ -298,7 +283,6 @@ def run_download(
         sampler=sampler,
         auditor=auditor,
         wide_records=wide_records,
-        sketches=recorder,
     )
 
 

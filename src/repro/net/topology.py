@@ -77,17 +77,6 @@ class Network:
                 return link
         raise RoutingError(f"no link between {device_a.name} and {device_b.name}")
 
-    def neighbors(self, device: Device, include_wireless: bool = True) -> list[Device]:
-        result = []
-        for dev_a, dev_b, link in self._adjacency:
-            if not include_wireless and isinstance(link, WirelessLink):
-                continue
-            if dev_a is device:
-                result.append(dev_b)
-            elif dev_b is device:
-                result.append(dev_a)
-        return result
-
     # -- routing ----------------------------------------------------------------
 
     def _wired_graph(self) -> nx.Graph:

@@ -80,13 +80,6 @@ class WirelessDirection(LinkDirection):
             return True
         return False
 
-    @property
-    def residual_loss_estimate(self) -> float:
-        """Observed fraction of packets dropped after all retries."""
-        if self.stats.sent_packets == 0:
-            return 0.0
-        return self.residual_drops / self.stats.sent_packets
-
 
 class WirelessLink(Link):
     """A full-duplex wireless link (client <-> access point)."""

@@ -3,8 +3,9 @@
 A registry is one append-only JSONL file (``.repro_runs/registry.jsonl``
 by default, ``REPRO_RUNS_DIR`` overrides the directory) where demos,
 sweeps and benches deposit a summary record — run identity, git SHA,
-machine fingerprint (shared with :mod:`repro.perf`), headline metrics
-and (when the flight recorder ran) the sampled gauge timelines.  The
+machine fingerprint (shared with :mod:`repro.perf`), headline metrics,
+(when the flight recorder ran) the sampled gauge timelines and (when
+wide events were kept) the per-chunk phase columns.  The
 ``python -m repro runs`` CLI lists, renders and diffs records; the
 diff's paper-shape verdict is an SLO judged by :mod:`repro.obs.slo`.
 
@@ -14,12 +15,14 @@ Record schema (one JSON object per line)::
      "kind": "demo", "recorded_at": "...", "git_sha": "...",
      "machine": "linux-x86_64-...", "metrics": {"gain": 1.8, ...},
      "gauges": {"staging.lead_bytes": {"t": [...], "v": [...]}, ...},
-     "sketches": {"wide.fetch_latency": {"kind": "quantile", ...}, ...},
+     "phases": {"fetch_latency": [2.1, null, ...], ...},
      "meta": {...}}
 
 Forward compatibility mirrors the trace reader: unknown top-level keys
 are preserved on load, and records missing optional keys get empty
-defaults, so old registries keep loading as the schema grows.
+defaults, so old registries keep loading as the schema grows.  Keys
+an older schema wrote and this one dropped are kept the same way and
+are not judged.
 """
 
 from __future__ import annotations
@@ -81,10 +84,10 @@ class RunRecord:
     policy: str = ""
     metrics: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
-    #: Serialized fixed-memory sketches (see :mod:`repro.obs.sketch`):
-    #: ``{name: sketch.to_json()}``.  Bounded-size distribution
-    #: summaries, unlike ``gauges``' full timelines.
-    sketches: dict = field(default_factory=dict)
+    #: Exact per-chunk values, ``{field: [v or None, ...]}``, one
+    #: entry per chunk record in emission order (see
+    #: :func:`repro.obs.slo.phase_columns`).
+    phases: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     #: Top-level keys written by a newer version, preserved verbatim.
     extra: dict = field(default_factory=dict, repr=False)
@@ -93,7 +96,7 @@ class RunRecord:
     def from_json(cls, payload: dict) -> "RunRecord":
         known = {
             "rec_id", "run_id", "kind", "recorded_at", "git_sha",
-            "machine", "policy", "metrics", "gauges", "sketches", "meta",
+            "machine", "policy", "metrics", "gauges", "phases", "meta",
         }
         return cls(
             rec_id=str(payload.get("rec_id", "")),
@@ -105,7 +108,7 @@ class RunRecord:
             policy=str(payload.get("policy", "")),
             metrics=dict(payload.get("metrics", {})),
             gauges=dict(payload.get("gauges", {})),
-            sketches=dict(payload.get("sketches", {})),
+            phases=dict(payload.get("phases", {})),
             meta=dict(payload.get("meta", {})),
             extra={k: v for k, v in payload.items() if k not in known},
         )
@@ -122,7 +125,7 @@ class RunRecord:
             policy=self.policy,
             metrics=self.metrics,
             gauges=self.gauges,
-            sketches=self.sketches,
+            phases=self.phases,
             meta=self.meta,
         )
         return payload
@@ -162,7 +165,7 @@ class RunRegistry:
         gauges: Optional[dict] = None,
         meta: Optional[dict] = None,
         policy: str = "",
-        sketches: Optional[dict] = None,
+        phases: Optional[dict] = None,
     ) -> RunRecord:
         """Append one record; assigns a unique ``rec_id`` and returns it.
 
@@ -193,7 +196,7 @@ class RunRegistry:
                     policy=policy,
                     metrics=dict(metrics),
                     gauges=dict(gauges or {}),
-                    sketches=dict(sketches or {}),
+                    phases=dict(phases or {}),
                     meta=dict(meta or {}),
                 )
                 # Mode "a" writes always land at EOF, even after the
@@ -305,7 +308,7 @@ def record_summary(record: RunRecord) -> dict:
         "policy": record.policy,
         "metrics": record.metrics,
         "gauges": sorted(record.gauges),
-        "sketches": sorted(record.sketches),
+        "phases": sorted(record.phases),
         "meta": record.meta,
     }
 
@@ -323,15 +326,16 @@ def list_payload(registry: "RunRegistry") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def record_from_result(result, kind: str = "download") -> tuple[str, dict, dict]:
-    """(run_id, metrics, gauges) for one ExperimentResult.
+def record_from_result(result) -> tuple[str, dict, dict, dict]:
+    """(run_id, metrics, gauges, phases) for one ExperimentResult.
 
-    Gauge timelines come out of the result's collector under the
-    ``gauge.<run_id>.`` namespace and are stored stripped of it, as
-    ``{name: {"t": [...], "v": [...]}}`` (compact JSONL columns).
-    Serialized sketches (when the run was built with ``sketches=True``)
-    are fetched separately via :func:`sketches_from_result`.
+    Gauge timelines are the result's :meth:`gauge_timelines`, stored
+    as ``{name: {"t": [...], "v": [...]}}`` (compact JSONL columns);
+    ``phases`` are :func:`~repro.obs.slo.phase_columns` of the run's
+    wide records (``{}`` when none were kept).
     """
+    from repro.obs.slo import phase_columns
+
     download = result.download
     metrics = {
         "download_time": result.download_time,
@@ -344,17 +348,11 @@ def record_from_result(result, kind: str = "download") -> tuple[str, dict, dict]
         "handoffs": download.handoffs,
         "staging_signals": download.staging_signals,
     }
-    gauges: dict[str, dict] = {}
-    if result.metrics is not None:
-        prefix = f"gauge.{result.run_id}."
-        for name, points in result.metrics.timelines(prefix).items():
-            times = [t for t, _v in points]
-            values = [v for _t, v in points]
-            gauges[name[len(prefix):]] = {"t": times, "v": values}
-    return result.run_id, metrics, gauges
-
-
-def sketches_from_result(result) -> dict:
-    """The result's serialized sketch set (``{}`` when not recorded)."""
-    recorder = getattr(result, "sketches", None)
-    return recorder.to_json() if recorder is not None else {}
+    gauges = {
+        name: {"t": [t for t, _v in points], "v": [v for _t, v in points]}
+        for name, points in result.gauge_timelines().items()
+    }
+    phases = (
+        phase_columns(result.wide_records) if result.wide_records else {}
+    )
+    return result.run_id, metrics, gauges, phases

@@ -10,8 +10,8 @@ written as a one-line spec and evaluated two ways:
 **offline** (:func:`evaluate_record`, ``python -m repro slo check``,
 ``GET /slo``)
     against :class:`~repro.obs.registry.RunRecord` metrics, the
-    record's serialized :mod:`~repro.obs.sketch` set, and/or a run's
-    wide-event records — and, through :func:`judge_diff`
+    record's exact per-chunk ``phases`` columns and gauge timelines,
+    and/or a run's wide-event records — and, through :func:`judge_diff`
     (``repro runs diff``, ``GET /diff``), against the B/A ratios of
     two records;
 
@@ -24,6 +24,12 @@ written as a one-line spec and evaluated two ways:
     directory's ``alerts.jsonl`` (:class:`AlertLog`) and published on
     the hub under the ``alert`` topic, where the dashboard's alerts
     pane picks it up.
+
+Both sides collapse exact values with one function,
+:func:`aggregate`: the live evaluator over its sliding window, offline
+evaluation over the whole run.  Both get chunk values from one fold,
+:func:`phase_columns`, so a run judged live and then offline with a
+window longer than the run reads the same value.
 
 The live evaluator is *only* a hub subscriber: it shares the hub's
 never-block contract, so a fixed-seed run produces bit-identical
@@ -39,10 +45,12 @@ Spec grammar::
     mean(fetch_latency) <= 10 @ 60
     ready_before_fetch_ratio >= 0.6
 
-``agg`` ∈ p50 / p90 / p95 / p99 / mean / max / min; a bare metric is
-the latest/recorded value.  ``@ window`` sets the live sliding window
-in simulated seconds (default ``DEFAULT_WINDOW_S``); offline
-evaluation ignores it (the whole run is the window).
+``agg`` ∈ p50 / p90 / p95 / p99 (nearest rank) / mean / max / min; a
+bare metric is the latest value.  ``ready_before_fetch_ratio`` is
+always the mean of its per-chunk indicators, because it is a ratio.
+``@ window`` sets the live sliding window in simulated seconds
+(default ``DEFAULT_WINDOW_S``); offline evaluation ignores it (the
+whole run is the window).
 """
 
 from __future__ import annotations
@@ -60,8 +68,6 @@ try:  # advisory append locking, as in repro.obs.registry
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-from repro.obs.sketch import QuantileSketch, sketches_from_wide
-
 #: Default live sliding window, in simulated seconds.
 DEFAULT_WINDOW_S = 30.0
 
@@ -73,6 +79,22 @@ ALERTS_FILE = "alerts.jsonl"
 MAX_WINDOW_SAMPLES = 4096
 
 _AGGS = ("p50", "p90", "p95", "p99", "mean", "max", "min")
+
+#: Chunk-record fields judged per chunk: the registry's ``phases``
+#: columns, besides the derived :data:`READY_RATIO`.
+PHASE_FIELDS = (
+    "fetch_latency",
+    "stage_latency",
+    "staging_latency",
+    "control_rtt",
+    "stage_wait_s",
+    "ready_wait_s",
+    "masked_s",
+)
+
+#: The derived staging-effectiveness metric: the share of chunks that
+#: were ready at the edge before the vehicle asked for them.
+READY_RATIO = "ready_before_fetch_ratio"
 
 _SPEC_RE = re.compile(
     r"^\s*(?:(?P<agg>p50|p90|p95|p99|mean|max|min)\s*\(\s*(?P<inner>[^)]+?)"
@@ -91,8 +113,9 @@ class SLO:
     #: a gauge name (``staging.lead_bytes``) or the derived
     #: ``ready_before_fetch_ratio``.
     metric: str
-    #: How the window/run collapses to one value: ``value`` (latest /
-    #: as-recorded) or one of p50/p90/p95/p99/mean/max/min.
+    #: How the window/run collapses to one value (see
+    #: :func:`aggregate`): ``value`` (the latest) or one of
+    #: p50/p90/p95/p99/mean/max/min.
     agg: str
     #: ``">="`` (floor) or ``"<="`` (ceiling).
     op: str
@@ -181,7 +204,7 @@ class SLOResult:
     value: Optional[float]
     #: True/False verdict; ``None`` when there was no data to judge.
     ok: Optional[bool]
-    #: Where the value came from: ``metrics`` / ``sketch`` / ``wide``.
+    #: Where the values came from: ``metrics`` / ``phases`` / ``gauges``.
     source: str = ""
 
     @property
@@ -201,86 +224,100 @@ class SLOResult:
         }
 
 
-def _agg_sketch(sketch, agg: str) -> Optional[float]:
-    """Collapse one sketch to one value under ``agg`` (None = can't)."""
-    if getattr(sketch, "count", 0) == 0:
-        return None
-    if agg in ("value", "mean"):
-        return sketch.mean
-    if agg == "max":
-        return getattr(sketch, "maximum", None)
-    if agg == "min":
-        return getattr(sketch, "minimum", None)
-    if isinstance(sketch, QuantileSketch) and agg.startswith("p"):
-        return sketch.quantile(int(agg[1:]) / 100.0)
-    return None
+def phase_columns(records: Iterable[dict]) -> dict[str, list]:
+    """Chunk records → ``{metric: [value or None, ...]}``.
 
-
-def _sketch_lookup(sketches: dict, metric: str):
-    """Resolve a metric name to a sketch, trying the recorder's
-    namespaces: bare, ``wide.<metric>``, ``gauge.<metric>`` and the
-    gauge quantile twin ``gauge.<metric>.q``."""
-    for name in (metric, f"wide.{metric}", f"gauge.{metric}",
-                 f"gauge.{metric}.q"):
-        sketch = sketches.get(name)
-        if sketch is not None:
-            return sketch
-    return None
-
-
-def resolve_value(
-    slo: SLO,
-    metrics: Optional[dict] = None,
-    sketches: Optional[dict] = None,
-) -> tuple[Optional[float], str]:
-    """``(value, source)`` for one SLO against metrics + sketches.
-
-    ``ready_before_fetch_ratio`` is the one derived metric: the mean
-    of the ``wide.ready_before_fetch`` indicator sketch the
-    :class:`~repro.obs.sketch.SketchRecorder` folds per chunk.
+    One entry per chunk record, in emission order: a registry record's
+    ``phases`` columns, the offline fold of a wide-event file and, one
+    record at a time, the live evaluator's chunk feed.  The
+    :data:`READY_RATIO` column is the derived indicator: 1.0 when the
+    chunk was staged before the fetch (``ready_wait_s >= 0``), else 0.0.
     """
-    metrics = metrics or {}
-    sketches = sketches or {}
-    if slo.metric == "ready_before_fetch_ratio":
-        sketch = sketches.get("wide.ready_before_fetch")
-        if sketch is not None and sketch.count:
-            return sketch.mean, "sketch"
-        return None, ""
-    if slo.agg == "value":
-        value = metrics.get(slo.metric)
-        if isinstance(value, (int, float)):
-            return float(value), "metrics"
-    sketch = _sketch_lookup(sketches, slo.metric)
-    if sketch is not None:
-        # A bare gauge/phase metric without an aggregation judges the
-        # quantile sketch's p50 when the metric isn't a plain number.
-        agg = "p50" if (
-            slo.agg == "value" and isinstance(sketch, QuantileSketch)
-        ) else slo.agg
-        value = _agg_sketch(sketch, agg)
-        if value is not None:
-            return value, "sketch"
-    return None, ""
+    columns: dict[str, list] = {name: [] for name in PHASE_FIELDS}
+    columns[READY_RATIO] = []
+    for record in records:
+        if record.get("kind") != "chunk":
+            continue
+        for name in PHASE_FIELDS:
+            value = record.get(name)
+            columns[name].append(
+                float(value) if isinstance(value, (int, float)) else None
+            )
+        ready_wait = columns["ready_wait_s"][-1]
+        columns[READY_RATIO].append(
+            1.0 if ready_wait is not None and ready_wait >= 0.0 else 0.0
+        )
+    return columns
+
+
+def aggregate(slo: SLO, values: Sequence[float]) -> Optional[float]:
+    """Collapse ``values`` (a live window or a whole run) under ``slo.agg``.
+
+    A bare metric is the latest value and percentiles are nearest
+    rank.  :data:`READY_RATIO` is always the mean of its indicators.
+    ``None`` when there are no values.
+    """
+    if not values:
+        return None
+    agg = "mean" if slo.metric == READY_RATIO else slo.agg
+    if agg == "value":
+        return values[-1]
+    if agg == "mean":
+        return sum(values) / len(values)
+    if agg == "max":
+        return max(values)
+    if agg == "min":
+        return min(values)
+    ordered = sorted(values)
+    rank = math.ceil(int(agg[1:]) / 100.0 * len(ordered))
+    return ordered[max(0, min(len(ordered) - 1, rank - 1))]
+
+
+def _run_values(
+    metric: str,
+    metrics: Optional[dict] = None,
+    phases: Optional[dict] = None,
+    gauges: Optional[dict] = None,
+) -> tuple[list[float], str]:
+    """``(values, source)`` for one metric over a whole run.
+
+    Sources, first match wins: a numeric ``metrics`` entry (one
+    value), a ``phases`` column (its non-null entries) and a gauge
+    timeline's ``"v"`` column.  ``([], "")`` when none has data.
+    """
+    value = (metrics or {}).get(metric)
+    if isinstance(value, (int, float)):
+        return [float(value)], "metrics"
+    column = [v for v in (phases or {}).get(metric, ()) if v is not None]
+    if column:
+        return column, "phases"
+    series = (gauges or {}).get(metric)
+    if series and series.get("v"):
+        return [float(v) for v in series["v"]], "gauges"
+    return [], ""
 
 
 def evaluate_slos(
     slos: Sequence[SLO],
     metrics: Optional[dict] = None,
-    sketches: Optional[dict] = None,
+    phases: Optional[dict] = None,
+    gauges: Optional[dict] = None,
     wide_records: Optional[Iterable[dict]] = None,
 ) -> list[SLOResult]:
-    """Judge every SLO against the given sources.
+    """Judge every SLO against one run's data.
 
-    ``wide_records`` (if given) are folded into sketches on the fly
-    and take precedence over same-named serialized sketches — the
-    ``repro slo check`` path over ``--emit-wide`` files.
+    ``phases`` are :func:`phase_columns` output and ``gauges`` are
+    registry-shaped timelines (``{name: {"t": [...], "v": [...]}}``).
+    ``wide_records`` (if given) are folded with :func:`phase_columns`
+    and replace ``phases``: the ``repro slo check`` path over
+    ``--emit-wide`` files.
     """
-    merged = dict(sketches or {})
     if wide_records is not None:
-        merged.update(sketches_from_wide(wide_records))
+        phases = phase_columns(wide_records)
     results = []
     for slo in slos:
-        value, source = resolve_value(slo, metrics, merged)
+        values, source = _run_values(slo.metric, metrics, phases, gauges)
+        value = aggregate(slo, values)
         results.append(SLOResult(
             slo=slo,
             value=value,
@@ -296,12 +333,11 @@ def evaluate_record(
     wide_records: Optional[Iterable[dict]] = None,
 ) -> list[SLOResult]:
     """Judge ``slos`` against one :class:`~repro.obs.registry.RunRecord`."""
-    from repro.obs.sketch import load_sketches
-
     return evaluate_slos(
         slos,
         metrics=record.metrics,
-        sketches=load_sketches(getattr(record, "sketches", {}) or {}),
+        phases=record.phases,
+        gauges=record.gauges,
         wide_records=wide_records,
     )
 
@@ -461,10 +497,9 @@ class LiveSLOEvaluator:
     Window sample sources, per SLO metric:
 
     - **gauge items** whose ``gauge`` name equals the metric;
-    - **wide chunk records** carrying the metric as a numeric field
-      (``fetch_latency``, ``stage_wait_s``, ...), stamped at
-      ``t_fetched``; the derived ``ready_before_fetch_ratio`` folds
-      the staged-before-fetch indicator;
+    - **wide chunk records**, folded by :func:`phase_columns` (the
+      :data:`PHASE_FIELDS` and the derived ``ready_before_fetch_ratio``
+      indicator), stamped at ``t_fetched``;
     - **run-finished items** carrying the metric directly
       (``download_time``, ``gain`` when a driver publishes it) —
       judged immediately, no window.
@@ -482,6 +517,8 @@ class LiveSLOEvaluator:
         self.slos = tuple(slos)
         self.sinks = list(sinks or [])
         self.alerts: list[AlertRecord] = []
+        #: Latest :func:`aggregate` of each SLO's window, by SLO name.
+        self.current: dict[str, float] = {}
         self.items_seen = 0
         self._windows: dict[str, deque] = {
             slo.name: deque(maxlen=MAX_WINDOW_SAMPLES) for slo in self.slos
@@ -510,9 +547,7 @@ class LiveSLOEvaluator:
         while window and window[0][0] < t - slo.window_s:
             window.popleft()
         values = [v for _t, v in window]
-        current = _window_agg(values, slo.agg)
-        if current is None:
-            return
+        current = self.current[slo.name] = aggregate(slo, values)
         bad = sum(1 for v in values if not slo.ok(v))
         burn_rate = bad / len(values)
         violating = not slo.ok(current)
@@ -532,6 +567,7 @@ class LiveSLOEvaluator:
                 for window in self._windows.values():
                     window.clear()
                 self._violating.clear()
+                self.current.clear()
         if topic == "gauge":
             name = payload.get("gauge")
             t = payload.get("t", 0.0)
@@ -545,18 +581,11 @@ class LiveSLOEvaluator:
             if payload.get("kind") != "chunk":
                 return
             t = payload.get("t_fetched", 0.0)
+            columns = phase_columns([payload])
             for slo in self.slos:
-                if slo.metric == "ready_before_fetch_ratio":
-                    ready_wait = payload.get("ready_wait_s")
-                    staged = (
-                        isinstance(ready_wait, (int, float))
-                        and ready_wait >= 0.0
-                    )
-                    self._observe(slo, t, 1.0 if staged else 0.0)
-                    continue
-                value = payload.get(slo.metric)
-                if isinstance(value, (int, float)):
-                    self._observe(slo, t, float(value))
+                for value in columns.get(slo.metric, ()):
+                    if value is not None:
+                        self._observe(slo, t, value)
         elif topic == "run" and payload.get("state") == "finished":
             for slo in self.slos:
                 value = payload.get(slo.metric)
@@ -610,28 +639,6 @@ class LiveSLOEvaluator:
         """Detach from the hub (idempotent)."""
         if self._subscription is not None:
             self._subscription.close()
-
-
-def _window_agg(values: list, agg: str) -> Optional[float]:
-    """Exact aggregation over a (bounded) live window."""
-    if not values:
-        return None
-    if agg in ("value",):
-        return values[-1]
-    if agg == "mean":
-        return sum(values) / len(values)
-    if agg == "max":
-        return max(values)
-    if agg == "min":
-        return min(values)
-    if agg.startswith("p"):
-        q = int(agg[1:]) / 100.0
-        ordered = sorted(values)
-        # Nearest rank, matching the sketch's convention.
-        index = max(0, min(len(ordered) - 1,
-                           math.ceil(q * len(ordered)) - 1))
-        return ordered[index]
-    return None
 
 
 # ---------------------------------------------------------------------------

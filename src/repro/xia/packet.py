@@ -300,10 +300,6 @@ class Packet:
         if bit:
             self.visited_mask |= bit
 
-    def reply_template(self) -> tuple[DagAddress, DagAddress]:
-        """(dst, src) for a reply to this packet."""
-        return self.src, self.dst
-
     def __repr__(self) -> str:
         if self._released:
             return f"<Packet #{self.packet_id} released>"

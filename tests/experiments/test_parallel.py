@@ -214,49 +214,3 @@ def test_pool_death_mid_stream_does_not_double_publish(monkeypatch):
         ]
     finally:
         hub.close()
-
-
-# ---------------------------------------------------------------------------
-# Sweep-wide sketches: per-worker fold, parent-side merge
-# ---------------------------------------------------------------------------
-
-
-def test_sketches_ride_the_summary_and_merge_across_tasks():
-    from repro.obs.sketch import load_sketches
-    from repro.experiments.parallel import merge_summary_sketches
-
-    tasks = [
-        SweepTask(
-            system="softstage",
-            params=MicrobenchParams(file_size=QUICK.file_size),
-            seed=seed,
-            segment_scale=QUICK.segment_scale,
-            sketches=True,
-        )
-        for seed in (0, 1)
-    ]
-    summaries = [execute_task(t) for t in tasks]
-    assert all(s.sketches for s in summaries)
-    merged = merge_summary_sketches(summaries)
-    sketches = load_sketches(merged)
-    per_run = [
-        load_sketches(s.sketches)["wide.fetch_latency"] for s in summaries
-    ]
-    assert sketches["wide.fetch_latency"].count == sum(
-        q.count for q in per_run
-    )
-
-
-def test_merge_summary_sketches_skips_runs_without_sketches():
-    from repro.experiments.parallel import merge_summary_sketches
-
-    plain = execute_task(quick_task(seed=0))
-    assert plain.sketches is None
-    assert merge_summary_sketches([plain]) == {}
-
-
-def test_sketches_are_excluded_from_summary_equality():
-    a = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2)
-    b = RunSummary("softstage", 0, 9.5, 1 * MB, 4, 3, 1, 0, 2, 2,
-                   sketches={"x": {"kind": "stat"}})
-    assert a == b

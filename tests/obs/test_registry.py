@@ -88,6 +88,20 @@ def test_unknown_keys_round_trip(registry, tmp_path):
     assert record.to_json()["future_field"] == {"x": 1}
 
 
+def test_sketches_of_old_records_are_kept_but_not_judged():
+    from repro.obs.slo import evaluate_record, parse_slo
+
+    old = {"rec_id": "0001/r", "run_id": "r", "kind": "demo",
+           "sketches": {"wide.fetch_latency": {"kind": "quantile",
+                                               "count": 1}}}
+    record = RunRecord.from_json(old)
+    assert record.phases == {}
+    assert record.to_json()["sketches"] == old["sketches"]
+    (result,) = evaluate_record([parse_slo("p95(fetch_latency) <= 30")],
+                                record)
+    assert result.status == "no-data"
+
+
 def test_gauge_series_filter_folds_separators():
     record = RunRecord.from_json({
         "rec_id": "0001/r", "run_id": "r", "kind": "demo",
@@ -154,14 +168,18 @@ def test_record_from_result_strips_gauge_prefix():
 
     result = run_download(
         "softstage", params=MicrobenchParams(file_size=2 * MB),
-        seed=0, gauges=True,
+        seed=0, gauges=True, sketches=True,
     )
-    run_id, metrics, gauges = record_from_result(result)
+    run_id, metrics, gauges, phases = record_from_result(result)
     assert run_id == "softstage-seed0"
     assert metrics["bytes_received"] == result.download.bytes_received
     assert "staging.lead_bytes" in gauges
     series = gauges["staging.lead_bytes"]
     assert len(series["t"]) == len(series["v"]) > 0
+    # One phase entry per chunk record, in emission order.
+    chunks = [r for r in result.wide_records if r["kind"] == "chunk"]
+    assert len(chunks) == result.download.chunks_completed
+    assert phases["fetch_latency"] == [r["fetch_latency"] for r in chunks]
 
 
 # ---------------------------------------------------------------------------

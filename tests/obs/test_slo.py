@@ -3,12 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import RunRecord
-from repro.obs.sketch import QuantileSketch, StatSketch, serialize_sketches
 from repro.obs.slo import (
     DEFAULT_SLOS,
     DEFAULT_WINDOW_S,
+    PHASE_FIELDS,
+    READY_RATIO,
     SLO,
     AlertLog,
     AlertRecord,
@@ -17,6 +20,7 @@ from repro.obs.slo import (
     evaluate_record,
     evaluate_slos,
     parse_slo,
+    phase_columns,
     render_check,
     violations,
 )
@@ -67,12 +71,6 @@ def test_ok_direction():
 # -- offline evaluation -------------------------------------------------------
 
 
-def _sketches_with(name, values, kind=QuantileSketch):
-    sketch = kind() if kind is StatSketch else kind(compression=256)
-    sketch.add_many(values)
-    return {name: sketch}
-
-
 def test_evaluate_value_slo_from_metrics():
     results = evaluate_slos(
         [parse_slo("gain >= 1.2")], metrics={"gain": 1.5},
@@ -82,27 +80,38 @@ def test_evaluate_value_slo_from_metrics():
 
 
 def test_evaluate_percentile_slo_from_sketch():
-    sketches = _sketches_with(
-        "wide.stage_latency", [0.1] * 95 + [9.0] * 5,
-    )
+    phases = {"stage_latency": [0.1] * 95 + [None] + [9.0] * 5}
     ok = evaluate_slos([parse_slo("p95(stage_latency) <= 2.0")],
-                       sketches=sketches)[0]
-    # p95 lands on the last 0.1 (rank 95/100) — within budget.
-    assert ok.ok is True
+                       phases=phases)[0]
+    # Nulls are skipped; p95 lands on the last 0.1 (nearest rank 95/100).
+    assert ok.ok is True and ok.value == 0.1
+    assert ok.source == "phases"
     bad = evaluate_slos([parse_slo("p90(stage_latency) <= 0.05")],
-                        sketches=sketches)[0]
+                        phases=phases)[0]
     assert bad.ok is False
 
 
 def test_evaluate_ready_before_fetch_ratio():
-    indicator = StatSketch()
-    indicator.add_many([1.0, 1.0, 1.0, 0.0])
     results = evaluate_slos(
         [parse_slo("ready_before_fetch_ratio >= 0.6")],
-        sketches={"wide.ready_before_fetch": indicator},
+        phases={READY_RATIO: [1.0, 1.0, 1.0, 0.0]},
     )
     assert results[0].value == pytest.approx(0.75)
     assert results[0].ok is True
+
+
+def test_bare_metric_is_the_latest_value_offline():
+    # The grammar's "latest value", not a median or a mean.
+    chunk = evaluate_slos(
+        [parse_slo("fetch_latency <= 5")],
+        phases={"fetch_latency": [1.0, 2.0, 3.0, 10.0]},
+    )[0]
+    assert (chunk.value, chunk.ok) == (10.0, False)
+    gauge = evaluate_slos(
+        [parse_slo("staging.lead_chunks >= 2")],
+        gauges={"staging.lead_chunks": {"t": [0.0, 0.5], "v": [4, 1]}},
+    )[0]
+    assert (gauge.value, gauge.ok, gauge.source) == (1.0, False, "gauges")
 
 
 def test_missing_metric_is_no_data_not_failure():
@@ -127,18 +136,35 @@ def test_evaluate_from_wide_records_folds_on_the_fly():
 
 
 def test_evaluate_record_reads_serialized_sketches():
-    sketches = _sketches_with("wide.fetch_latency", [1.0, 2.0, 3.0])
     record = RunRecord(
         rec_id="r1", run_id="softstage-seed0", kind="demo",
         recorded_at="", git_sha="", machine="",
         metrics={"gain": 1.5},
-        sketches=serialize_sketches(sketches),
+        gauges={"staging.lead_bytes": {"t": [0.0, 0.5], "v": [0.0, 8.0]}},
+        phases={"fetch_latency": [1.0, 2.0, 3.0]},
     )
     results = evaluate_record(
-        [parse_slo("gain >= 1.2"), parse_slo("p95(fetch_latency) <= 30")],
+        [parse_slo("gain >= 1.2"), parse_slo("p95(fetch_latency) <= 30"),
+         parse_slo("max(staging.lead_bytes) <= 4")],
         record,
     )
-    assert [r.ok for r in results] == [True, True]
+    assert [r.ok for r in results] == [True, True, False]
+    assert [r.value for r in results] == [1.5, 3.0, 8.0]
+
+
+def test_phase_columns_fold_chunk_records():
+    records = [
+        {"kind": "chunk", "fetch_latency": 0.5, "ready_wait_s": 1.0},
+        {"kind": "run", "chunks": 2},  # not a chunk: no entry
+        {"kind": "chunk", "fetch_latency": 2, "ready_wait_s": -0.5},
+        {"kind": "chunk", "stage_latency": 0.25},
+    ]
+    columns = phase_columns(records)
+    assert set(columns) == {*PHASE_FIELDS, READY_RATIO}
+    assert columns["fetch_latency"] == [0.5, 2.0, None]
+    assert columns["stage_latency"] == [None, None, 0.25]
+    assert columns[READY_RATIO] == [1.0, 0.0, 0.0]
+    assert phase_columns([]) == {name: [] for name in columns}
 
 
 def test_default_slos_are_the_paper_shape_set():
@@ -242,6 +268,71 @@ def test_live_evaluator_judges_wide_chunks():
     ev.feed("wide", {"kind": "run", "run": "r1"})  # summary: ignored
 
 
+def chunk_item(t, run="r1", **fields):
+    return "wide", {"kind": "chunk", "run": run, "t_fetched": t, **fields}
+
+
+def test_live_ratio_is_the_window_mean_not_the_last_chunk():
+    slo = parse_slo("ready_before_fetch_ratio >= 0.6")
+    ev = LiveSLOEvaluator([slo])
+    records = []
+    for i in range(10):
+        topic, record = chunk_item(float(i), ready_wait_s=(
+            0.5 if i < 9 else -0.5   # the last chunk was not staged ahead
+        ))
+        ev.feed(topic, record)
+        records.append(record)
+    assert ev.alerts == []
+    assert ev.current[slo.name] == pytest.approx(0.9)
+    (offline,) = evaluate_slos([slo], wide_records=records)
+    assert offline.value == ev.current[slo.name] and offline.ok is True
+
+
+_AGG_NAMES = ("value", "mean", "min", "max", "p50", "p90", "p95", "p99")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    agg=st.sampled_from(_AGG_NAMES),
+    metric=st.sampled_from((*PHASE_FIELDS, "staging.lead_bytes",
+                            READY_RATIO)),
+    values=st.lists(
+        st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),
+        min_size=1, max_size=40,
+    ),
+)
+def test_live_and_offline_judge_the_same_value(agg, metric, values):
+    """A window longer than the run sees the whole run, so the live
+    value after the last item is the offline value of the run."""
+    slo = SLO(metric=metric, agg=agg, op=">=", threshold=0.0,
+              window_s=len(values) + 10.0)
+    ev = LiveSLOEvaluator([slo])
+    records, gauge = [], {"t": [], "v": []}
+    for i, value in enumerate(values):
+        if metric.startswith("staging."):
+            if value is None:
+                continue
+            ev.feed(*gauge_item(float(i), value, gauge=metric))
+            gauge["t"].append(float(i))
+            gauge["v"].append(value)
+            continue
+        field = "ready_wait_s" if metric == READY_RATIO else metric
+        topic, record = chunk_item(float(i), **{field: value})
+        ev.feed(topic, record)
+        records.append(record)
+    gauges = {metric: gauge} if gauge["v"] else {}
+    record = RunRecord(
+        rec_id="r", run_id="r1", kind="demo", recorded_at="",
+        git_sha="", machine="", gauges=gauges,
+        phases=phase_columns(records),
+    )
+    live = ev.current.get(slo.name)
+    (from_record,) = evaluate_record([slo], record)
+    (from_wide,) = evaluate_slos([slo], gauges=gauges, wide_records=records)
+    assert from_record.value == live
+    assert from_wide.value == live
+
+
 def test_live_evaluator_resets_windows_per_run():
     slo = parse_slo("mean(g) >= 1.0 @ 1000")
     ev = LiveSLOEvaluator([slo])
@@ -279,7 +370,7 @@ def test_live_evaluator_over_hub_with_alert_log(tmp_path):
 
 
 def test_live_evaluator_attached_keeps_fixed_seed_bit_identical(tmp_path):
-    """Acceptance: live SLO evaluator + sketches + strict auditor
+    """Acceptance: live SLO evaluator + wide records + strict auditor
     attached must not perturb a fixed-seed run."""
     from repro.experiments.runner import run_download
     from repro.experiments.params import MicrobenchParams
